@@ -10,7 +10,10 @@ import (
 
 // TestEstimateZeroAllocSteadyState is the allocation-regression guard of
 // the estimate hot path: after the scratch pools are warm, one
-// EstimateAoA — hierarchical or exhaustive — must not allocate at all.
+// EstimateAoA — hierarchical or exhaustive — must not allocate at all,
+// and neither may a whole SelectSector, whose finishSelection adds the
+// Eq. 4 TX-lookup scan (or, under an unreachable FallbackCorr, the
+// sweep fallback).
 // (testing.AllocsPerRun pins GOMAXPROCS to 1, so the exhaustive fill
 // takes its serial branch; the sharded branch's goroutine spawns are an
 // accepted multi-core cost, and the batch path disables them anyway.)
@@ -30,6 +33,7 @@ func TestEstimateZeroAllocSteadyState(t *testing.T) {
 		{"quant-hierarchical", Options{}},
 		{"float-hierarchical", Options{Kernel: KernelFloat64}},
 		{"exhaustive", Options{ExactSearch: true}},
+		{"quant-sweep-fallback", Options{FallbackCorr: 2}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			est, err := NewEstimator(set, tc.opts)
@@ -51,6 +55,15 @@ func TestEstimateZeroAllocSteadyState(t *testing.T) {
 			}
 			if allocs != 0 {
 				t.Fatalf("steady-state EstimateAoA allocates %.1f times per call, want 0", allocs)
+			}
+			allocs = testing.AllocsPerRun(100, func() {
+				_, estErr = est.SelectSector(ctx, probes)
+			})
+			if estErr != nil {
+				t.Fatal(estErr)
+			}
+			if allocs != 0 {
+				t.Fatalf("steady-state SelectSector allocates %.1f times per call, want 0", allocs)
 			}
 		})
 	}

@@ -14,21 +14,21 @@ import (
 
 // engine is the precomputed correlation engine behind EstimateAoA: a
 // flat, cache-friendly [gridPoint][sector] dictionary of linear pattern
-// amplitudes, built once per Estimator. The serial reference path calls
-// Pattern.At (two binary-search brackets plus a bilinear interpolation)
-// and math.Pow for every probed sector at every grid point of every
-// estimate; the engine pays that cost exactly once at construction, so
-// the grid search reduces to centered dot products over contiguous
-// slices. Grid rows (elevations) are sharded across a GOMAXPROCS-sized
-// worker pool, and per-call scratch (correlation surface, probe column
-// map) is recycled through sync.Pools.
+// amplitudes, built once per Estimator. The serial reference path
+// locates every grid point and runs a bilinear Pattern.AtPoint plus
+// math.Pow for every probed sector there, on every estimate; the engine
+// pays that cost exactly once at construction, so the grid search
+// reduces to centered dot products over contiguous slices. Grid rows
+// (elevations) are sharded across a GOMAXPROCS-sized worker pool, and
+// per-call scratch (correlation surface, probe column map) is recycled
+// through sync.Pools.
 type engine struct {
 	az, el []float64
 	stride int        // dense dictionary columns per grid point
 	cols   [256]int16 // sector ID -> dense column, -1 when absent
 	// dict holds the linear amplitude of every sector at every grid
 	// point, laid out [(ei*numAz+ai)*stride + col]; NaN marks points the
-	// pattern does not cover. Values are amp(Pattern.At(az, el)) — the
+	// pattern does not cover. Values are amp(Pattern.AtPoint(pt)) — the
 	// exact quantity the serial reference computes per call — so both
 	// paths agree bit for bit.
 	dict []float64
@@ -87,17 +87,19 @@ func newEngine(set *pattern.Set, opts Options) *engine {
 	}
 	numAz, numEl := len(en.az), len(en.el)
 	en.dict = make([]float64, numAz*numEl*en.stride)
+	pats := make([]*pattern.Pattern, len(ids))
 	for col, id := range ids {
-		p := set.Get(id)
-		for ei, el := range en.el {
-			base := ei * numAz * en.stride
-			for ai, az := range en.az {
-				g := p.At(az, el)
-				v := math.NaN()
-				if !math.IsNaN(g) {
-					v = amp(g)
+		pats[col] = set.Get(id)
+	}
+	for ei, el := range en.el {
+		for ai, az := range en.az {
+			pt := pattern.Locate(grid, az, el)
+			row := en.dict[(ei*numAz+ai)*en.stride:][:en.stride]
+			for col, p := range pats {
+				row[col] = math.NaN()
+				if g := p.AtPoint(pt); !math.IsNaN(g) {
+					row[col] = amp(g)
 				}
-				en.dict[base+ai*en.stride+col] = v
 			}
 		}
 	}

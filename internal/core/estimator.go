@@ -42,6 +42,14 @@ type Probe struct {
 	OK     bool
 }
 
+// reported reports whether p carries a usable measurement: a report
+// with finite SNR and RSSI. Estimation and the sweep fallback treat a
+// non-finite reading exactly like a missing report.
+func (p Probe) reported() bool {
+	return p.OK && !math.IsNaN(p.Meas.SNR) && !math.IsInf(p.Meas.SNR, 0) &&
+		!math.IsNaN(p.Meas.RSSI) && !math.IsInf(p.Meas.RSSI, 0)
+}
+
 // ProbesFromMeasurements assembles the probe vector for the sectors in
 // probed, marking sectors absent from meas as missing.
 func ProbesFromMeasurements(probed []sector.ID, meas map[sector.ID]radio.Measurement) []Probe {
@@ -130,9 +138,10 @@ type Estimator struct {
 	// en is the precomputed correlation engine (see engine.go), built
 	// once at construction from a snapshot of the pattern set.
 	en *engine
-	// txIDs caches patterns.TXIDs() (the set is immutable after
-	// construction) so per-selection Eq. 4 scans allocate nothing.
-	txIDs []sector.ID
+	// tx is the set's TX lookup (the set is immutable after
+	// construction): every Eq. 4 scan and per-direction pattern read
+	// goes through it.
+	tx *pattern.TXLookup
 	// gathers pools gather scratch so the steady-state estimate path
 	// allocates nothing per call.
 	gathers sync.Pool
@@ -161,7 +170,7 @@ func NewEstimator(patterns *pattern.Set, opts Options) (*Estimator, error) {
 	default:
 		return nil, fmt.Errorf("core: unknown correlation kernel %q", opts.Kernel)
 	}
-	e := &Estimator{patterns: patterns, opts: opts, en: newEngine(patterns, opts), txIDs: patterns.TXIDs()}
+	e := &Estimator{patterns: patterns, opts: opts, en: newEngine(patterns, opts), tx: patterns.TX()}
 	e.gathers.New = func() any {
 		metScratchMisses.Inc()
 		return &gatherScratch{}
@@ -207,47 +216,22 @@ type AoAEstimate struct {
 func amp(db float64) float64 { return math.Pow(10, db/20) }
 
 // gatherVectors converts probes into linear-amplitude measurement
-// vectors. Unless disabled, probed-but-unreported sectors are imputed
-// slightly below the faintest reported reading: no report means the
-// sector was (almost always) below decode sensitivity, which is
-// information the correlation should use.
+// vectors. Unless disabled, probed-but-unreported sectors (including
+// non-finite readings) are imputed slightly below the faintest reported
+// reading: no report means the sector was (almost always) below decode
+// sensitivity, which is information the correlation should use.
 func (e *Estimator) gatherVectors(probes []Probe) (ids []sector.ID, snrLin, rssiLin []float64, reported int) {
-	minSNR, minRSSI := math.Inf(1), math.Inf(1)
-	for _, p := range probes {
-		if !p.OK {
-			continue
-		}
-		reported++
-		if p.Meas.SNR < minSNR {
-			minSNR = p.Meas.SNR
-		}
-		if p.Meas.RSSI < minRSSI {
-			minRSSI = p.Meas.RSSI
-		}
-	}
-	impute := !e.opts.NoImputeMissing && reported > 0
-	for _, p := range probes {
-		switch {
-		case p.OK:
-			ids = append(ids, p.Sector)
-			snrLin = append(snrLin, amp(p.Meas.SNR))
-			rssiLin = append(rssiLin, amp(p.Meas.RSSI))
-		case impute:
-			ids = append(ids, p.Sector)
-			snrLin = append(snrLin, amp(minSNR-1))
-			rssiLin = append(rssiLin, amp(minRSSI-1))
-		}
-	}
-	return ids, snrLin, rssiLin, reported
+	var g gatherScratch
+	reported = e.gatherInto(&g, probes)
+	return g.ids, g.snr, g.rssi, reported
 }
 
-// gatherInto is gatherVectors into pooled scratch: identical selection,
-// imputation and ordering, but appending into g's recycled buffers so
-// the steady-state estimate path allocates nothing.
+// gatherInto is gatherVectors into pooled scratch, appending into g's
+// recycled buffers so the steady-state estimate path allocates nothing.
 func (e *Estimator) gatherInto(g *gatherScratch, probes []Probe) (reported int) {
 	minSNR, minRSSI := math.Inf(1), math.Inf(1)
 	for _, p := range probes {
-		if !p.OK {
+		if !p.reported() {
 			continue
 		}
 		reported++
@@ -262,7 +246,7 @@ func (e *Estimator) gatherInto(g *gatherScratch, probes []Probe) (reported int) 
 	impute := !e.opts.NoImputeMissing && reported > 0
 	for _, p := range probes {
 		switch {
-		case p.OK:
+		case p.reported():
 			g.ids = append(g.ids, p.Sector)
 			g.snr = append(g.snr, amp(p.Meas.SNR))
 			g.rssi = append(g.rssi, amp(p.Meas.RSSI))
@@ -276,14 +260,14 @@ func (e *Estimator) gatherInto(g *gatherScratch, probes []Probe) (reported int) 
 }
 
 // correlate implements Eq. 2: the squared normalized correlation of the
-// measurement vector with the expected pattern gains at (az, el),
-// computed in its centered (Pearson) form. Centering matters on real
-// hardware: directions where every probed sector has a similar expected
-// gain ("flat" pattern regions behind lobes or at high elevation) would
-// otherwise correlate spuriously well with any near-uniform measurement
-// vector and attract the argmax. Sectors whose pattern value is missing
+// measurement vector with the expected pattern gains at the located
+// direction pt, computed in its centered (Pearson) form. Centering
+// matters on real hardware: directions where every probed sector has a
+// similar expected gain ("flat" pattern regions behind lobes or at high
+// elevation) would otherwise correlate spuriously well with any
+// near-uniform measurement vector and attract the argmax. Sectors whose pattern value is missing
 // at the point are skipped; fewer than three usable components yield 0.
-func (e *Estimator) correlate(ids []sector.ID, lin []float64, az, el float64) float64 {
+func (e *Estimator) correlate(ids []sector.ID, lin []float64, pt pattern.Point) float64 {
 	var xs, ps [64]float64
 	used := 0
 	var sumP, sumX float64
@@ -292,7 +276,7 @@ func (e *Estimator) correlate(ids []sector.ID, lin []float64, az, el float64) fl
 		if p == nil {
 			continue
 		}
-		g := p.At(az, el)
+		g := p.AtPoint(pt)
 		if math.IsNaN(g) {
 			continue
 		}
@@ -332,11 +316,12 @@ func (e *Estimator) correlate(ids []sector.ID, lin []float64, az, el float64) fl
 // unless SNROnly is set.
 func (e *Estimator) Correlation(probes []Probe, az, el float64) float64 {
 	ids, snrLin, rssiLin, _ := e.gatherVectors(probes)
-	w := e.correlate(ids, snrLin, az, el)
+	pt := e.tx.Locate(az, el)
+	w := e.correlate(ids, snrLin, pt)
 	if e.opts.SNROnly {
 		return w
 	}
-	return w * e.correlate(ids, rssiLin, az, el)
+	return w * e.correlate(ids, rssiLin, pt)
 }
 
 // EstimateAoA maximizes the correlation over the pattern grid (Eq. 3),
@@ -421,7 +406,7 @@ func (e *Estimator) estimate(ctx context.Context, probes []Probe, maxShards int)
 }
 
 // EstimateAoASerial is the straight-line reference implementation of the
-// grid search: per-point Pattern.At interpolation and amplitude
+// grid search: per-point located pattern lookups and amplitude
 // conversion, no precomputation, no concurrency. It is kept so the
 // equivalence test (and anyone auditing the engine) can check the
 // optimized path against first principles.
@@ -431,19 +416,7 @@ func (e *Estimator) EstimateAoASerial(probes []Probe) (AoAEstimate, error) {
 	if reported < 2 {
 		return AoAEstimate{}, fmt.Errorf("core: %w: need at least 2 reported probes, have %d", ErrTooFewProbes, reported)
 	}
-	anyPattern := e.patterns.Get(ids[0])
-	if anyPattern == nil {
-		for _, id := range e.patterns.IDs() {
-			if p := e.patterns.Get(id); p != nil {
-				anyPattern = p
-				break
-			}
-		}
-	}
-	if anyPattern == nil {
-		return AoAEstimate{}, errors.New("core: empty pattern set")
-	}
-	grid := anyPattern.Grid()
+	grid := e.patterns.Grid()
 	azAxis, elAxis := grid.Az(), grid.El()
 
 	// Correlation surface over the grid.
@@ -452,9 +425,10 @@ func (e *Estimator) EstimateAoASerial(probes []Probe) (AoAEstimate, error) {
 	for ei, el := range elAxis {
 		row := make([]float64, len(azAxis))
 		for ai, az := range azAxis {
-			v := e.correlate(ids, snrLin, az, el)
+			pt := pattern.Locate(grid, az, el)
+			v := e.correlate(ids, snrLin, pt)
 			if !e.opts.SNROnly {
-				v *= e.correlate(ids, rssiLin, az, el)
+				v *= e.correlate(ids, rssiLin, pt)
 			}
 			row[ai] = v
 			if v > bestW {
@@ -571,6 +545,11 @@ func (e *Estimator) SelectSectorSerial(probes []Probe) (Selection, error) {
 	return e.finishSelection(probes, aoa, err)
 }
 
+// finishSelection turns an estimate into a selection: the sweep
+// fallback when the estimate failed or is too weak, else Eq. 4 — one
+// TX-lookup scan toward the estimated angle.
+//
+//talon:noalloc
 func (e *Estimator) finishSelection(probes []Probe, aoa AoAEstimate, err error) (Selection, error) {
 	if err != nil || aoa.Corr < e.opts.fallbackCorr() {
 		id, ok := SweepSelect(probes)
@@ -578,39 +557,20 @@ func (e *Estimator) finishSelection(probes []Probe, aoa AoAEstimate, err error) 
 			if err != nil {
 				return Selection{}, err
 			}
+			//lint:allow noalloc -- cold error path: no probe reported, the steady state never formats
 			return Selection{}, fmt.Errorf("core: %w: no probe reported a measurement", ErrTooFewProbes)
 		}
 		metSelectFallback.Inc()
 		return Selection{Sector: id, Gain: math.NaN(), AoA: aoa, Fallback: true}, nil
 	}
-	id, gain := e.bestSector(aoa.Az, aoa.El)
+	id, gain := e.tx.Best(e.tx.Locate(aoa.Az, aoa.El))
 	if math.IsNaN(gain) {
-		return Selection{}, errors.New("core: pattern set has no usable TX sector")
+		return Selection{}, errNoUsableTX
 	}
 	return Selection{Sector: id, Gain: gain, AoA: aoa}, nil
 }
 
-// bestSector is pattern.Set.BestSector over the cached TX ID order —
-// the same ascending scan and strictly-greater update, minus the
-// per-call ID sort and its allocation.
-func (e *Estimator) bestSector(az, el float64) (sector.ID, float64) {
-	best, bestGain := sector.RX, math.Inf(-1)
-	found := false
-	for _, id := range e.txIDs {
-		g := e.patterns.Get(id).At(az, el)
-		if math.IsNaN(g) {
-			continue
-		}
-		if g > bestGain {
-			best, bestGain = id, g
-			found = true
-		}
-	}
-	if !found {
-		return sector.RX, math.NaN()
-	}
-	return best, bestGain
-}
+var errNoUsableTX = errors.New("core: pattern set has no usable TX sector")
 
 // isCtxErr reports whether err is a context cancellation or deadline.
 func isCtxErr(err error) bool {

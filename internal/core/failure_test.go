@@ -5,6 +5,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"math"
 	"testing"
 
@@ -156,5 +157,107 @@ func TestMultipathDegenerateVector(t *testing.T) {
 	}
 	if sel.HasBackup && sel.Backup.Sector == sel.Primary.Sector {
 		t.Fatal("backup equals primary")
+	}
+}
+
+// sameSelectionBits reports bit-for-bit equality of two selections
+// (NaN gains of fallback selections included).
+func sameSelectionBits(a, b Selection) bool {
+	ga, gb := math.Float64bits(a.Gain), math.Float64bits(b.Gain)
+	a.Gain, b.Gain = 0, 0
+	return ga == gb && a == b
+}
+
+// TestNonFiniteReadingsAreUnreported pins the probe contract for
+// non-finite readings: a NaN or ±Inf SNR or RSSI is treated exactly like
+// a missing report — on both kernels, through SelectSector,
+// SelectSectorBatch and SelectSectorWarm, and in the sweep fallback
+// (where a +Inf SNR would otherwise win). A vector whose every reading
+// is non-finite fails with ErrTooFewProbes like an all-missing one.
+func TestNonFiniteReadingsAreUnreported(t *testing.T) {
+	set, gain := synthSetup(t)
+	tx := sector.TalonTX()
+	var probed []sector.ID
+	for i := 0; i < len(tx); i += 2 {
+		probed = append(probed, tx[i])
+	}
+	clean := observe(t, gain, probed, 20, 9, quietModel(), stats.NewRNG(53))
+	strongest := 0
+	for i, p := range clean {
+		if p.Meas.SNR > clean[strongest].Meas.SNR {
+			strongest = i
+		}
+	}
+	corruptions := []struct {
+		name string
+		set  func(m *radio.Measurement)
+	}{
+		{"snr-nan", func(m *radio.Measurement) { m.SNR = math.NaN() }},
+		{"snr+inf", func(m *radio.Measurement) { m.SNR = math.Inf(1) }},
+		{"snr-inf", func(m *radio.Measurement) { m.SNR = math.Inf(-1) }},
+		{"rssi-nan", func(m *radio.Measurement) { m.RSSI = math.NaN() }},
+		{"rssi+inf", func(m *radio.Measurement) { m.RSSI = math.Inf(1) }},
+		{"rssi-inf", func(m *radio.Measurement) { m.RSSI = math.Inf(-1) }},
+	}
+	ctx := context.Background()
+	for _, kc := range []struct {
+		name string
+		opts Options
+	}{
+		{"quant", Options{}},
+		{"float", Options{Kernel: KernelFloat64}},
+		{"quant-sweep-fallback", Options{FallbackCorr: 2}},
+		{"float-sweep-fallback", Options{Kernel: KernelFloat64, FallbackCorr: 2}},
+	} {
+		est, err := NewEstimator(set, kc.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cleanSel, err := est.SelectSector(ctx, clean)
+		if err != nil {
+			t.Fatal(err)
+		}
+		entries := []struct {
+			name string
+			run  func([]Probe) (Selection, error)
+		}{
+			{"SelectSector", func(p []Probe) (Selection, error) { return est.SelectSector(ctx, p) }},
+			{"SelectSectorBatch", func(p []Probe) (Selection, error) {
+				res, err := est.SelectSectorBatch(ctx, BatchOf([][]Probe{p}), 1)
+				if err != nil {
+					return Selection{}, err
+				}
+				return res[0].Selection, res[0].Err
+			}},
+			{"SelectSectorWarm", func(p []Probe) (Selection, error) { return est.SelectSectorWarm(ctx, p, cleanSel.AoA.Cell) }},
+		}
+		for _, ec := range entries {
+			for _, cc := range corruptions {
+				for _, k := range []int{strongest, 0} {
+					bad := append([]Probe(nil), clean...)
+					cc.set(&bad[k].Meas)
+					missing := append([]Probe(nil), clean...)
+					missing[k] = Probe{Sector: clean[k].Sector}
+					want, wantErr := ec.run(missing)
+					got, gotErr := ec.run(bad)
+					if wantErr != nil || gotErr != nil {
+						t.Fatalf("%s/%s/%s probe %d: errors %v (unreported reference %v)", kc.name, ec.name, cc.name, k, gotErr, wantErr)
+					}
+					if !sameSelectionBits(got, want) {
+						t.Fatalf("%s/%s/%s probe %d: got %+v, want the unreported-probe selection %+v", kc.name, ec.name, cc.name, k, got, want)
+					}
+				}
+			}
+			allBad := append([]Probe(nil), clean...)
+			for i := range allBad {
+				allBad[i].Meas.SNR = math.NaN()
+			}
+			if _, err := ec.run(allBad); !errors.Is(err, ErrTooFewProbes) {
+				t.Fatalf("%s/%s: all-NaN vector gave %v, want ErrTooFewProbes", kc.name, ec.name, err)
+			}
+		}
+	}
+	if _, ok := SweepSelect([]Probe{{Sector: 3, OK: true, Meas: radio.Measurement{SNR: math.Inf(1)}}}); ok {
+		t.Fatal("SweepSelect accepted a +Inf reading")
 	}
 }

@@ -2,11 +2,11 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
 
 	"talon/internal/geom"
+	"talon/internal/pattern"
 	"talon/internal/sector"
 )
 
@@ -31,12 +31,9 @@ func (e *Estimator) EstimateMultipath(ctx context.Context, probes []Probe, k int
 	if reported < 2 {
 		return nil, fmt.Errorf("core: %w: need at least 2 reported probes, have %d", ErrTooFewProbes, reported)
 	}
-	grid, err := e.searchGrid(ids)
-	if err != nil {
-		return nil, err
-	}
+	grid := e.patterns.Grid()
 	azAxis, elAxis := grid.Az(), grid.El()
-	// The engine dictionary replaces per-point Pattern.At lookups inside
+	// The engine dictionary replaces per-point pattern lookups inside
 	// the cancellation rounds; the vectors it correlates change per round,
 	// the dictionary does not.
 	var cols []int16
@@ -79,9 +76,10 @@ func (e *Estimator) EstimateMultipath(ctx context.Context, probes []Probe, k int
 						v *= e.en.correlateAt(pt, cols, rssi)
 					}
 				} else {
-					v = e.correlate(ids, snr, az, el)
+					pt := pattern.Locate(grid, az, el)
+					v = e.correlate(ids, snr, pt)
 					if !e.opts.SNROnly {
-						v *= e.correlate(ids, rssi, az, el)
+						v *= e.correlate(ids, rssi, pt)
 					}
 				}
 				row[ai] = v
@@ -132,12 +130,13 @@ func cancelPath(e *Estimator, ids []sector.ID, ampVec []float64, az, el float64)
 	xPow := make([]float64, len(ids))
 	valid := make([]bool, len(ids))
 	maxPow := 0.0
+	pt := e.tx.Locate(az, el)
 	for i, id := range ids {
 		p := e.patterns.Get(id)
 		if p == nil {
 			continue
 		}
-		g := p.At(az, el)
+		g := p.AtPoint(pt)
 		if math.IsNaN(g) {
 			continue
 		}
@@ -166,21 +165,6 @@ func cancelPath(e *Estimator, ids []sector.ID, ampVec []float64, az, el float64)
 		}
 		ampVec[i] = math.Sqrt(residual)
 	}
-}
-
-// searchGrid picks the grid the correlation surface is evaluated on.
-func (e *Estimator) searchGrid(ids []sector.ID) (*geom.Grid, error) {
-	for _, id := range ids {
-		if p := e.patterns.Get(id); p != nil {
-			return p.Grid(), nil
-		}
-	}
-	for _, id := range e.patterns.IDs() {
-		if p := e.patterns.Get(id); p != nil {
-			return p.Grid(), nil
-		}
-	}
-	return nil, errors.New("core: empty pattern set")
 }
 
 // BackupSelection pairs the primary compressive selection with a backup
@@ -214,13 +198,13 @@ func (e *Estimator) SelectWithBackup(ctx context.Context, probes []Probe, minSep
 		}
 		return BackupSelection{Primary: sel}, nil
 	}
-	primaryID, primaryGain := e.patterns.BestSector(peaks[0].Az, peaks[0].El)
+	primaryID, primaryGain := e.tx.Best(e.tx.Locate(peaks[0].Az, peaks[0].El))
 	if math.IsNaN(primaryGain) {
-		return BackupSelection{}, errors.New("core: pattern set has no usable TX sector")
+		return BackupSelection{}, errNoUsableTX
 	}
 	out := BackupSelection{Primary: Selection{Sector: primaryID, Gain: primaryGain, AoA: peaks[0]}}
 	for _, peak := range peaks[1:] {
-		id, gain := e.patterns.BestSector(peak.Az, peak.El)
+		id, gain := e.tx.Best(e.tx.Locate(peak.Az, peak.El))
 		if math.IsNaN(gain) || id == primaryID {
 			continue
 		}

@@ -123,6 +123,7 @@ var ampCodes = func() [ProbeCodeMax + 1]int16 {
 // saturating at the clamp bounds (exactly like the hardware does). NaN
 // encodes as the floor. The codec is monotone: db1 <= db2 implies
 // QuantizeProbe(db1) <= QuantizeProbe(db2).
+//
 //talon:noalloc
 func QuantizeProbe(db float64) int16 {
 	c := math.Round((db - radio.SNRMinDB) / probeStepDB)
@@ -138,6 +139,7 @@ func QuantizeProbe(db float64) int16 {
 // DequantizeProbe decodes a probe code back to dB. Out-of-range codes
 // clamp to the window bounds. Round-tripping any in-window dB value
 // through QuantizeProbe changes it by at most probeStepDB/2.
+//
 //talon:noalloc
 func DequantizeProbe(code int16) float64 {
 	switch {
@@ -167,6 +169,7 @@ func DequantizeProbe(code int16) float64 {
 // unknown sector) would otherwise shift the window and saturate every
 // real component to the floor. Their codes still occupy a slot to keep
 // dst parallel to cols.
+//
 //talon:noalloc
 func quantizeVec(dst []int16, db []float64, cols []int16) []int16 {
 	maxDB := math.Inf(-1)
@@ -246,6 +249,7 @@ func (en *engine) quant() bool { return len(en.dictQ) > 0 }
 // the float kernel exactly — skip absent columns, skip quantMissing
 // (NaN) entries, cap at quantMaxComponents, fewer than three usable
 // components yield 0 — so the two kernels disagree only by rounding.
+//
 //talon:noalloc
 func correlateQ(dictQ []int16, base int, cols []int16, pq []int16) float64 {
 	var n, sp, sx, spx, spp, sxx int32
@@ -312,6 +316,7 @@ type quantVec struct {
 // truncation matches the slow path's component cap: with a full
 // dictionary the first quantMaxComponents usable components are the same
 // at every grid point.
+//
 //talon:noalloc
 func (qv *quantVec) compact() {
 	qv.colsC, qv.pack = qv.colsC[:0], qv.pack[:0]
@@ -341,6 +346,7 @@ func (qv *quantVec) compact() {
 // offset on the quantized kernel. The w = cov²/(varP·varX) form is
 // dimensionless, so quantized scores live on the same [0, 1] scale as
 // float ones and the FallbackCorr threshold applies unchanged.
+//
 //talon:noalloc
 func jointQ(dictQ []int16, pt int, qv *quantVec, snrOnly bool) float64 {
 	if qv.full {
@@ -368,6 +374,7 @@ func jointQ(dictQ []int16, pt int, qv *quantVec, snrOnly bool) float64 {
 // packs Σ snr·x (low) with Σ rssi·x (high) via the precomputed pack
 // codes. Two 64-bit multiplies per component replace the scalar path's
 // three multiplies and four separate accumulators.
+//
 //talon:noalloc
 func jointQFast(dictQ []int16, pt int, qv *quantVec, snrOnly bool) float64 {
 	n := qv.n
@@ -415,6 +422,7 @@ func jointQFast(dictQ []int16, pt int, qv *quantVec, snrOnly bool) float64 {
 // ascending point order the final top-K matches a straight row-major
 // scan, whatever the tile geometry. This is the kernel the batch-major
 // pass (tile.go) shares across a whole batch per dictionary tile.
+//
 //talon:noalloc
 func (en *engine) coarseTopKQ(lo, hi int, qv *quantVec, snrOnly bool, cells []int32, scores []float64, kept int) int {
 	pos := lo * en.stride
@@ -444,6 +452,7 @@ func (en *engine) coarseTopKQ(lo, hi int, qv *quantVec, snrOnly bool, cells []in
 // the quantized dictionary — the quantized twin of searchHier's
 // refinement phase, with the identical merged-span strictly-row-major
 // walk so tie-breaks match the float search's order.
+//
 //talon:noalloc
 func (en *engine) refineQ(ctx context.Context, sc *hierScratch, kept int, qv *quantVec, snrOnly bool) (bestA, bestE int, bestW float64, err error) {
 	numAz, numEl := len(en.az), len(en.el)
@@ -501,6 +510,7 @@ func (en *engine) refineQ(ctx context.Context, sc *hierScratch, kept int, qv *qu
 // ok is false when no coarse cell scored positive and the caller must
 // fall back to the exhaustive quantized scan (denseArgmaxQ), mirroring
 // the float hierarchy's disaster-guard semantics.
+//
 //talon:noalloc
 func (en *engine) searchHierQ(ctx context.Context, sc *hierScratch, qv *quantVec, snrOnly bool) (bestA, bestE int, bestW float64, ok bool, err error) {
 	n := len(en.cAzIdx) * len(en.cElIdx)
@@ -529,6 +539,7 @@ func (en *engine) searchHierQ(ctx context.Context, sc *hierScratch, qv *quantVec
 // in row-major order with the strictly-greater update, so tie-breaks
 // match engine.argmax. No surface is materialized — refinement
 // re-evaluates the handful of neighbours it needs.
+//
 //talon:noalloc
 func (en *engine) denseArgmaxQ(ctx context.Context, qv *quantVec, snrOnly bool) (bestA, bestE int, bestW float64, err error) {
 	numAz, numEl := len(en.az), len(en.el)
@@ -552,6 +563,7 @@ func (en *engine) denseArgmaxQ(ctx context.Context, qv *quantVec, snrOnly bool) 
 // hierarchical when the coarse dictionary exists (with the exhaustive
 // fallback on an all-nonpositive coarse pass), exhaustive otherwise.
 // sc may be nil when the hierarchy is disabled.
+//
 //talon:noalloc
 func (en *engine) searchQuant(ctx context.Context, sc *hierScratch, qv *quantVec, snrOnly bool) (bestA, bestE int, bestW float64, err error) {
 	if len(en.coarseQ) > 0 {
@@ -569,11 +581,12 @@ func (en *engine) searchQuant(ctx context.Context, sc *hierScratch, qv *quantVec
 // selection, imputation and ordering, but keeping the readings in the dB
 // domain — amplitudes come from the ampCodes table at quantization time,
 // so the per-probe math.Pow of the float gather disappears.
+//
 //talon:noalloc
 func (e *Estimator) gatherQuantInto(g *gatherScratch, probes []Probe) (reported int) {
 	minSNR, minRSSI := math.Inf(1), math.Inf(1)
 	for _, p := range probes {
-		if !p.OK {
+		if !p.reported() {
 			continue
 		}
 		reported++
@@ -588,7 +601,7 @@ func (e *Estimator) gatherQuantInto(g *gatherScratch, probes []Probe) (reported 
 	impute := !e.opts.NoImputeMissing && reported > 0
 	for _, p := range probes {
 		switch {
-		case p.OK:
+		case p.reported():
 			g.ids = append(g.ids, p.Sector)
 			g.snrDB = append(g.snrDB, p.Meas.SNR)
 			g.rssiDB = append(g.rssiDB, p.Meas.RSSI)
@@ -604,6 +617,7 @@ func (e *Estimator) gatherQuantInto(g *gatherScratch, probes []Probe) (reported 
 // quantizeGather encodes the gathered dB vectors into the scratch's
 // quantVec and, over full dictionaries, builds its compacted fast-path
 // view.
+//
 //talon:noalloc
 func quantizeGather(g *gatherScratch, cols []int16, full bool) {
 	qv := &g.qv
@@ -637,6 +651,7 @@ var ampTab = func() [ampTabN]float64 {
 // multiples subtract and scale exactly in binary (0.25 = 2⁻²), so the
 // lattice test is an exact float comparison and off-lattice or
 // out-of-range values fall through to the live math.Pow.
+//
 //talon:noalloc
 func ampCached(db float64) float64 {
 	i := (db - ampTabLoDB) * 4
@@ -652,6 +667,7 @@ func ampCached(db float64) float64 {
 // for the float epilogue. gatherQuantInto keeps the exact dB values
 // gatherInto would convert (including the minus-one imputation), so the
 // amplitudes here are bit-identical to the float kernel's own gather.
+//
 //talon:noalloc
 func linearizeGather(g *gatherScratch) {
 	g.snr, g.rssi = g.snr[:0], g.rssi[:0]
@@ -672,6 +688,7 @@ func linearizeGather(g *gatherScratch) {
 // gates), the reported Az/El/Corr are bit-identical to KernelFloat64,
 // and downstream near-tie decisions (Eq. 4 sector choice, the
 // FallbackCorr threshold) cannot flip on epsilon score differences.
+//
 //talon:noalloc
 func (e *Estimator) quantEpilogue(g *gatherScratch, cols []int16, bestA, bestE int, reported int) AoAEstimate {
 	en := e.en

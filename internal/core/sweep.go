@@ -9,12 +9,13 @@ import (
 
 // SweepSelect is the stock sector-sweep baseline (Eq. 1): the probed
 // sector with the highest reported SNR. Missing reports simply lose —
-// exactly the failure mode that makes the stock algorithm fluctuate.
-// ok is false when no probe carried a measurement.
+// exactly the failure mode that makes the stock algorithm fluctuate —
+// and so do non-finite readings. ok is false when no probe carried a
+// usable measurement.
 func SweepSelect(probes []Probe) (id sector.ID, ok bool) {
 	bestSNR := math.Inf(-1)
 	for _, p := range probes {
-		if !p.OK {
+		if !p.reported() {
 			continue
 		}
 		if p.Meas.SNR > bestSNR {

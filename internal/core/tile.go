@@ -96,6 +96,7 @@ func (e *Estimator) selectBatchQuant(ctx context.Context, batch []BatchItem, out
 // resolve warm-hinted items from their local windows, sweep the coarse
 // dictionary tiles once for the remainder of the chunk, then refine and
 // finish each remaining item.
+//
 //talon:noalloc
 func (e *Estimator) quantChunk(ctx context.Context, batch []BatchItem, out []BatchResult) error {
 	en := e.en

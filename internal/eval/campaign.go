@@ -103,23 +103,20 @@ func (c *CampaignConfig) defaults() {
 // normalization anchor of the campaign link budget (see fleet's
 // equivalent).
 func codebookGainRef(set *pattern.Set) float64 {
-	ids := set.TXIDs()
+	pats := set.TX().Patterns()
 	sum := 0.0
-	for _, id := range ids {
-		_, _, peak := set.Get(id).Peak()
+	for _, p := range pats {
+		_, _, peak := p.Peak()
 		sum += peak
 	}
-	return sum / float64(len(ids))
+	return sum / float64(len(pats))
 }
 
-// campaignTrueSNR is the noiseless SNR of one sector toward the trial's
-// channel state. linkSNR already folds in the distance pathloss; atten
-// models an omnidirectional blockage.
-func campaignTrueSNR(p *pattern.Pattern, az, el, linkSNR, atten, gainRef float64) float64 {
-	if p == nil {
-		return math.Inf(-1)
-	}
-	g := p.At(az, el)
+// campaignTrueSNR is the noiseless SNR toward the trial's channel state
+// of a sector whose pattern gain toward the trial is g (-Inf when g is
+// missing). linkSNR already folds in the distance pathloss; atten models
+// an omnidirectional blockage.
+func campaignTrueSNR(g, linkSNR, atten, gainRef float64) float64 {
 	if math.IsNaN(g) {
 		return math.Inf(-1)
 	}
@@ -170,7 +167,8 @@ func RecordCampaign(ctx context.Context, p *Platform, cfg CampaignConfig) ([]tra
 	}
 	defer w.Close()
 
-	txIDs := p.Patterns.TXIDs()
+	tx := p.Patterns.TX()
+	txIDs, txPats := tx.IDs(), tx.Patterns()
 	gainRef := codebookGainRef(p.Patterns)
 	model := radio.DefaultMeasurementModel()
 
@@ -232,13 +230,13 @@ func RecordCampaign(ctx context.Context, p *Platform, cfg CampaignConfig) ([]tra
 
 		idx := rng.Sample(len(txIDs), cfg.M)
 		sort.Ints(idx)
-		az, el := float64(rec.AzDeg), float64(rec.ElDeg)
+		pt := tx.Locate(float64(rec.AzDeg), float64(rec.ElDeg))
 		linkSNR, atten := float64(rec.LinkSNR), float64(rec.AttenDB)
 		rec.Probes = make([]tracestore.ProbeSample, 0, cfg.M)
 		probes := make([]core.Probe, 0, cfg.M)
 		for _, j := range idx {
 			id := txIDs[j]
-			snr := campaignTrueSNR(p.Patterns.Get(id), az, el, linkSNR, atten, gainRef)
+			snr := campaignTrueSNR(txPats[j].AtPoint(pt), linkSNR, atten, gainRef)
 			meas, ok := model.Observe(snr, rng)
 			ps := tracestore.ProbeSample{Sector: id, OK: ok}
 			if ok {
@@ -461,7 +459,7 @@ func ReplayCampaign(ctx context.Context, p *Platform, cfg CampaignConfig) (*Camp
 		return nil, err
 	}
 
-	txIDs := p.Patterns.TXIDs()
+	tx := p.Patterns.TX()
 	gainRef := codebookGainRef(p.Patterns)
 	partials := make([]campaignTally, len(shards))
 	for i := range partials {
@@ -526,15 +524,17 @@ func ReplayCampaign(ctx context.Context, p *Platform, cfg CampaignConfig) (*Camp
 			if sel.Fallback {
 				t.fallbacks++
 			}
-			az, el := float64(rec.AzDeg), float64(rec.ElDeg)
+			az := float64(rec.AzDeg)
 			linkSNR, atten := float64(rec.LinkSNR), float64(rec.AttenDB)
-			best := math.Inf(-1)
-			for _, id := range txIDs {
-				if s := campaignTrueSNR(p.Patterns.Get(id), az, el, linkSNR, atten, gainRef); s > best {
-					best = s
-				}
+			// The link budget is monotone in the gain, so the oracle's
+			// best SNR is the budget of the best (Eq. 4) gain.
+			pt := tx.Locate(az, float64(rec.ElDeg))
+			_, bestGain := tx.Best(pt)
+			best := campaignTrueSNR(bestGain, linkSNR, atten, gainRef)
+			got := math.Inf(-1)
+			if sp := p.Patterns.Get(sel.Sector); sp != nil {
+				got = campaignTrueSNR(sp.AtPoint(pt), linkSNR, atten, gainRef)
 			}
-			got := campaignTrueSNR(p.Patterns.Get(sel.Sector), az, el, linkSNR, atten, gainRef)
 			if !math.IsInf(best, -1) && !math.IsInf(got, -1) {
 				t.loss.Observe(milliDB(best - got))
 			}

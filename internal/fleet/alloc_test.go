@@ -13,16 +13,29 @@ import (
 // out so steady-state epochs carry zero training rounds; batch workers
 // are pinned to 1 so the scan runs serially (AllocsPerRun pins
 // GOMAXPROCS to 1 anyway, and goroutine spawns would count).
+//
+// The drifting variant moves every station each epoch and samples the
+// loss of every station, so each scan re-locates the station on the
+// codebook grid for the serving gain (refreshCurGain) and runs the
+// ground-truth Eq. 4 scan (cachedBestGain); a huge degrade threshold
+// keeps the drifting links tracking.
 func TestScanZeroAllocSteadyState(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation accounting is perturbed under the race detector")
 	}
-	m, _ := testFleet(t,
+	t.Run("static", func(t *testing.T) { checkScanZeroAlloc(t, 0) })
+	t.Run("drifting", func(t *testing.T) {
+		checkScanZeroAlloc(t, 0.5, WithDegradeDropDB(1000), WithLossSampleStride(1))
+	})
+}
+
+func checkScanZeroAlloc(t *testing.T, driftDegPerSec float64, extra ...Option) {
+	m, _ := testFleet(t, append([]Option{
 		WithShards(4),
 		WithSeed(5),
 		WithBatchWorkers(1),
 		WithRetrainInterval(time.Hour),
-	)
+	}, extra...)...)
 	ctx := context.Background()
 	const n = 512
 	for i := 0; i < n; i++ {
@@ -43,6 +56,12 @@ func TestScanZeroAllocSteadyState(t *testing.T) {
 		if !ok || snap.State != StateTracking {
 			t.Fatalf("station %d in state %v before steady state", i, snap.State)
 		}
+		if driftDegPerSec != 0 && !m.Dispatch(Event{Kind: EventMobility, Station: StationID(i), DriftDegPerSec: driftDegPerSec}) {
+			t.Fatalf("mobility event %d rejected", i)
+		}
+	}
+	if err := m.Step(ctx); err != nil { // applies the mobility events
+		t.Fatal(err)
 	}
 
 	var stepErr error

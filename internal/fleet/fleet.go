@@ -33,7 +33,6 @@ import (
 	"talon/internal/core"
 	"talon/internal/pattern"
 	"talon/internal/radio"
-	"talon/internal/sector"
 	"talon/internal/stats"
 )
 
@@ -224,13 +223,9 @@ type Manager struct {
 	est      *core.Estimator
 	patterns *pattern.Set
 	model    radio.MeasurementModel
-	txIDs    []sector.ID
-	// pats and txPats are pointer arrays resolved from patterns at
-	// construction: pats is indexed by sector ID, txPats parallels
-	// txIDs. The serve and scan hot paths hit these instead of the
-	// pattern set's map.
-	pats   [256]*pattern.Pattern
-	txPats []*pattern.Pattern
+	// tx is the codebook's TX lookup: probe synthesis and the
+	// ground-truth best sector read the patterns through it.
+	tx *pattern.TXLookup
 	// gainRef is the codebook's mean peak gain; trueSNR normalizes
 	// pattern gains by it so refSNRDB means "an average sector, on
 	// boresight, at the reference distance".
@@ -297,9 +292,9 @@ func New(est *core.Estimator, patterns *pattern.Set, opts ...Option) (*Manager, 
 	if cfg.queueDepth <= 0 {
 		cfg.queueDepth = 1024
 	}
-	txIDs := patterns.TXIDs()
-	if cfg.probeBudget <= 0 || cfg.probeBudget > len(txIDs) {
-		return nil, fmt.Errorf("fleet: probe budget %d outside 1..%d", cfg.probeBudget, len(txIDs))
+	tx := patterns.TX()
+	if cfg.probeBudget <= 0 || cfg.probeBudget > len(tx.IDs()) {
+		return nil, fmt.Errorf("fleet: probe budget %d outside 1..%d", cfg.probeBudget, len(tx.IDs()))
 	}
 	cfg.shards = ceilPow2(cfg.shards)
 	m := &Manager{
@@ -307,22 +302,18 @@ func New(est *core.Estimator, patterns *pattern.Set, opts ...Option) (*Manager, 
 		est:      est,
 		patterns: patterns,
 		model:    radio.DefaultMeasurementModel(),
-		txIDs:    txIDs,
-		txPats:   make([]*pattern.Pattern, len(txIDs)),
+		tx:       tx,
 		fastScan: cfg.degradeDropDB >= 0,
 		shards:   make([]*shard, cfg.shards),
 		mask:     uint64(cfg.shards - 1),
 		roundRNG: stats.NewFastRNG(0),
 	}
 	var sum float64
-	for i, id := range txIDs {
-		p := patterns.Get(id)
-		m.pats[id] = p
-		m.txPats[i] = p
+	for _, p := range tx.Patterns() {
 		_, _, peak := p.Peak()
 		sum += peak
 	}
-	m.gainRef = sum / float64(len(txIDs))
+	m.gainRef = sum / float64(len(tx.Patterns()))
 	for i := range m.shards {
 		m.shards[i] = &shard{
 			index: make(map[StationID]int32),
@@ -345,9 +336,6 @@ func ceilPow2(n int) int {
 }
 
 func (m *Manager) shardOf(id StationID) *shard { return m.shards[uint64(id)&m.mask] }
-
-// pat resolves a sector's pattern without the set's map lookup.
-func (m *Manager) pat(id sector.ID) *pattern.Pattern { return m.pats[id] }
 
 // Len returns the current station count across all shards.
 func (m *Manager) Len() int {

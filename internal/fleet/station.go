@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"talon/internal/core"
+	"talon/internal/pattern"
 	"talon/internal/sector"
 )
 
@@ -83,16 +84,12 @@ func roundSeed(fleetSeed int64, id StationID, round uint32) int64 {
 // sector of mean peak gain sees cfg.refSNRDB before impairments.
 const refDistM = 3.0
 
-// trueSNR returns the noiseless SNR of sector id toward st under the
-// fleet's lightweight single-path channel: reference SNR, log-distance
-// pathloss, the measured pattern gain toward the station (normalized by
-// the codebook's mean peak gain) and any active blockage attenuation.
-func (m *Manager) trueSNR(st *station, id sector.ID) float64 {
-	p := m.pat(id)
-	if p == nil {
-		return math.Inf(-1)
-	}
-	g := p.At(st.az, st.el)
+// trueSNR returns the noiseless SNR toward st of a sector whose pattern
+// gain toward it is g, under the fleet's lightweight single-path
+// channel: reference SNR, log-distance pathloss, the measured pattern
+// gain (normalized by the codebook's mean peak gain) and any active
+// blockage attenuation. A missing gain (NaN) gives -Inf.
+func (m *Manager) trueSNR(st *station, g float64) float64 {
 	if math.IsNaN(g) {
 		return math.Inf(-1)
 	}
@@ -103,26 +100,16 @@ func (m *Manager) trueSNR(st *station, id sector.ID) float64 {
 	return snr
 }
 
-// bestSector returns the transmit sector with the highest pattern gain
-// toward st and that gain — the ground-truth optimum the SNR-loss
-// distribution is measured against.
-func (m *Manager) bestSector(st *station) (sector.ID, float64) {
-	best, bestGain := sector.RX, math.Inf(-1)
-	for i, p := range m.txPats {
-		g := p.At(st.az, st.el)
-		if !math.IsNaN(g) && g > bestGain {
-			best, bestGain = m.txIDs[i], g
-		}
-	}
-	return best, bestGain
-}
+// locate brackets st's direction on the codebook grid.
+func (m *Manager) locate(st *station) pattern.Point { return m.tx.Locate(st.az, st.el) }
 
-// cachedBestGain is bestSector's gain through the per-station memo: the
-// full codebook scan runs only when drift moved the station since the
-// last call.
+// cachedBestGain is the ground-truth best sector gain toward st (the
+// optimum the SNR-loss distribution is measured against) through the
+// per-station memo: the codebook scan runs only when drift moved the
+// station since the last call.
 func (m *Manager) cachedBestGain(st *station) float64 {
 	if !st.bestValid {
-		_, st.bestGain = m.bestSector(st)
+		_, st.bestGain = m.tx.Best(m.locate(st))
 		st.bestValid = true
 	}
 	return st.bestGain
@@ -145,23 +132,11 @@ func (m *Manager) refreshCurGain(st *station, h *hotStation) {
 // gainToward returns id's pattern gain toward st (math.NaN when the
 // pattern has no sample there).
 func (m *Manager) gainToward(st *station, id sector.ID) float64 {
-	p := m.pat(id)
+	p := m.patterns.Get(id)
 	if p == nil {
 		return math.NaN()
 	}
-	return p.At(st.az, st.el)
-}
-
-// effGain is gainToward minus any active blockage attenuation — the
-// quantity the degrade check watches, so a blockage event pushes a
-// tracked link over the degrade threshold just like drifting off the
-// beam does.
-func (m *Manager) effGain(st *station, id sector.ID) float64 {
-	g := m.gainToward(st, id)
-	if st.blockEpochsLeft > 0 {
-		g -= st.blockAttenDB
-	}
-	return g
+	return p.AtPoint(m.locate(st))
 }
 
 // synthProbes fills dst with the station's next training round: a random
@@ -171,19 +146,21 @@ func (m *Manager) effGain(st *station, id sector.ID) float64 {
 // entries. The round's RNG stream is derived from roundSeed through the
 // manager's reseedable round RNG and the sample scratch — both reused
 // across rounds, both only touched under stepMu (serve synthesizes
-// serially; only the estimation fans out).
+// serially; only the estimation fans out). The station's direction is
+// located once for the whole round.
 func (m *Manager) synthProbes(st *station, dst []core.Probe) []core.Probe {
 	rng := m.roundRNG
 	rng.Reseed(roundSeed(m.cfg.seed, st.id, st.round))
-	idx := rng.SampleInto(m.sampleIdx, len(m.txIDs), m.cfg.probeBudget)
+	ids, pats := m.tx.IDs(), m.tx.Patterns()
+	idx := rng.SampleInto(m.sampleIdx, len(ids), m.cfg.probeBudget)
 	m.sampleIdx = idx[:0]
 	// Keep stock sweep order, like dot11ad.SubSweepSchedule.
 	sortInts(idx)
+	pt := m.locate(st)
 	dst = dst[:0]
 	for _, j := range idx {
-		id := m.txIDs[j]
-		pr := core.Probe{Sector: id}
-		meas, ok := m.model.Observe(m.trueSNR(st, id), rng)
+		pr := core.Probe{Sector: ids[j]}
+		meas, ok := m.model.Observe(m.trueSNR(st, pats[j].AtPoint(pt)), rng)
 		if ok && st.faultLossFrac > 0 && rng.Bool(st.faultLossFrac) {
 			ok = false
 		}

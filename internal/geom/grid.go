@@ -108,6 +108,12 @@ func (g *Grid) Equal(o *Grid) bool {
 // Bracket locates v on axis. It returns the lower index i and the fraction
 // t in [0, 1] such that v ≈ axis[i]*(1-t) + axis[i+1]*t. Values outside the
 // axis are clamped to the ends.
+//
+// The search is O(1) on uniform axes: linear interpolation between the
+// axis ends guesses i, and a walk corrects the guess to the largest
+// i ≤ n-2 with axis[i] ≤ v — the index a binary search would find, so
+// any strictly ascending axis gets the same (i, t), only more slowly
+// the further it is from uniform.
 func Bracket(axis []float64, v float64) (i int, t float64) {
 	n := len(axis)
 	if n == 1 || v <= axis[0] {
@@ -116,20 +122,27 @@ func Bracket(axis []float64, v float64) (i int, t float64) {
 	if v >= axis[n-1] {
 		return n - 2, 1
 	}
-	lo, hi := 0, n-1
-	for hi-lo > 1 {
-		mid := (lo + hi) / 2
-		if axis[mid] <= v {
-			lo = mid
-		} else {
-			hi = mid
-		}
+	// Clamp the guess as a float: converting NaN (a NaN v) or an
+	// out-of-range value to int is implementation-defined.
+	g := (v - axis[0]) / (axis[n-1] - axis[0]) * float64(n-1)
+	switch {
+	case !(g > 0):
+		g = 0
+	case g > float64(n-2):
+		g = float64(n - 2)
 	}
-	den := axis[hi] - axis[lo]
+	i = int(g)
+	for i > 0 && axis[i] > v {
+		i--
+	}
+	for i < n-2 && axis[i+1] <= v {
+		i++
+	}
+	den := axis[i+1] - axis[i]
 	if den == 0 {
-		return lo, 0
+		return i, 0
 	}
-	return lo, (v - axis[lo]) / den
+	return i, (v - axis[i]) / den
 }
 
 // Nearest returns the index of the axis sample closest to v.

@@ -1,6 +1,8 @@
 package geom
 
 import (
+	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -130,5 +132,78 @@ func TestNearest(t *testing.T) {
 	}
 	if got := Nearest([]float64{7}, -3); got != 0 {
 		t.Errorf("Nearest singleton = %d", got)
+	}
+}
+
+// bracketBinary is the binary-search Bracket the interpolated search
+// replaced, kept as the oracle of TestBracketMatchesBinarySearch.
+func bracketBinary(axis []float64, v float64) (int, float64) {
+	n := len(axis)
+	if n == 1 || v <= axis[0] {
+		return 0, 0
+	}
+	if v >= axis[n-1] {
+		return n - 2, 1
+	}
+	lo, hi := 0, n-1
+	for hi-lo > 1 {
+		mid := (lo + hi) / 2
+		if axis[mid] <= v {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	den := axis[hi] - axis[lo]
+	if den == 0 {
+		return lo, 0
+	}
+	return lo, (v - axis[lo]) / den
+}
+
+// TestBracketMatchesBinarySearch checks that the interpolated search
+// returns the binary search's (i, t) bit for bit on strictly ascending
+// axes of every shape — uniform (the grids the code uses), uniform
+// built by accumulation (rounding drift), geometric and randomly
+// clustered — at and around every node, between nodes, outside the
+// axis and at NaN and ±Inf.
+func TestBracketMatchesBinarySearch(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	axes := [][]float64{{5}, {-1, 2}}
+	for _, n := range []int{2, 3, 10, 101, 400} {
+		uni, acc, geo, clu := make([]float64, n), make([]float64, n), make([]float64, n), make([]float64, n)
+		x, c := -90.0, -3.0
+		for i := range uni {
+			uni[i] = -90 + float64(i)*1.8
+			acc[i] = x
+			x += 1.8
+			geo[i] = math.Pow(1.3, float64(i))
+			clu[i] = c
+			c += math.Pow(10, -6+8*rng.Float64())
+		}
+		axes = append(axes, uni, acc, geo, clu)
+	}
+	check := func(axis []float64, v float64) {
+		gi, gt := Bracket(axis, v)
+		wi, wt := bracketBinary(axis, v)
+		if gi != wi || math.Float64bits(gt) != math.Float64bits(wt) {
+			t.Fatalf("Bracket(len %d axis [%v..%v], %v) = (%d, %v), binary search gives (%d, %v)",
+				len(axis), axis[0], axis[len(axis)-1], v, gi, gt, wi, wt)
+		}
+	}
+	for _, axis := range axes {
+		lo, hi := axis[0], axis[len(axis)-1]
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), lo - 1, hi + 1} {
+			check(axis, v)
+		}
+		for _, a := range axis {
+			check(axis, a)
+			check(axis, math.Nextafter(a, math.Inf(1)))
+			check(axis, math.Nextafter(a, math.Inf(-1)))
+		}
+		span := hi - lo
+		for k := 0; k < 2000; k++ {
+			check(axis, lo-0.1*span+1.2*span*rng.Float64())
+		}
 	}
 }

@@ -157,10 +157,7 @@ func (s *Set) WriteBinary(w io.Writer) error {
 	if _, err := bw.WriteString(binaryMagic); err != nil {
 		return err
 	}
-	var grid *geom.Grid
-	if p := s.anyPattern(); p != nil {
-		grid = p.grid
-	}
+	grid := s.Grid()
 	if grid == nil {
 		return fmt.Errorf("pattern: WriteBinary on empty set")
 	}

@@ -69,39 +69,54 @@ func (p *Pattern) Flat() []float64 {
 	return out
 }
 
+// Point is a direction located on a grid: the indices of the grid
+// sample at its lower corner and its fractional position toward the
+// next sample on each axis. Locate brackets the direction once; AtPoint
+// then evaluates any pattern on that grid there, so a scan over a whole
+// codebook toward one direction pays for one bracket instead of one per
+// sector.
+type Point struct {
+	a, e   int
+	at, et float64
+}
+
+// Locate brackets the direction (az, el) degrees on grid. Coordinates
+// outside the grid are clamped to its edges.
+//
+//talon:noalloc
+func Locate(grid *geom.Grid, az, el float64) Point {
+	a, at := geom.Bracket(grid.Az(), az)
+	e, et := geom.Bracket(grid.El(), el)
+	return Point{a: a, e: e, at: at, et: et}
+}
+
 // At returns the bilinearly interpolated value at (az, el) degrees.
 // Coordinates outside the grid are clamped to its edges. If any of the four
 // surrounding samples is missing, the nearest valid neighbour among them is
 // used; if all are missing the result is NaN.
-func (p *Pattern) At(az, el float64) float64 {
-	ai, at := geom.Bracket(p.grid.Az(), az)
-	ei, et := geom.Bracket(p.grid.El(), el)
-	a2, e2 := ai, ei
-	if p.grid.NumAz() > 1 {
-		a2 = ai + 1
-	}
-	if p.grid.NumEl() > 1 {
-		e2 = ei + 1
-	}
-	v00 := p.gain[ei][ai]
-	v01 := p.gain[ei][a2]
-	v10 := p.gain[e2][ai]
-	v11 := p.gain[e2][a2]
+func (p *Pattern) At(az, el float64) float64 { return p.AtPoint(Locate(p.grid, az, el)) }
+
+// AtPoint is At at a direction already located on the pattern's grid (or
+// on an equal one, such as the shared grid of a Set).
+//
+//talon:noalloc
+func (p *Pattern) AtPoint(pt Point) float64 {
+	// On a single-sample axis Bracket returns index 0, and the upper
+	// corner collapses onto the lower one.
+	lo, hi := p.gain[pt.e], p.gain[min(pt.e+1, len(p.gain)-1)]
+	a1 := min(pt.a+1, len(lo)-1)
+	v00, v01 := lo[pt.a], lo[a1]
+	v10, v11 := hi[pt.a], hi[a1]
 	if hasNaN(v00, v01, v10, v11) {
-		return nearestValid(at, et, v00, v01, v10, v11)
+		return nearestValid(pt.at, pt.et, v00, v01, v10, v11)
 	}
-	lo := v00*(1-at) + v01*at
-	hi := v10*(1-at) + v11*at
-	return lo*(1-et) + hi*et
+	l := v00*(1-pt.at) + v01*pt.at
+	h := v10*(1-pt.at) + v11*pt.at
+	return l*(1-pt.et) + h*pt.et
 }
 
-func hasNaN(vs ...float64) bool {
-	for _, v := range vs {
-		if math.IsNaN(v) {
-			return true
-		}
-	}
-	return false
+func hasNaN(v00, v01, v10, v11 float64) bool {
+	return v00 != v00 || v01 != v01 || v10 != v10 || v11 != v11
 }
 
 // nearestValid picks the valid corner closest (in parameter space) to the

@@ -12,8 +12,8 @@ import (
 // the estimate hot path: after the scratch pools are warm, one
 // EstimateAoA — hierarchical or exhaustive — must not allocate at all,
 // and neither may a whole SelectSector, whose finishSelection adds the
-// Eq. 4 TX-lookup scan (or, under an unreachable FallbackCorr, the
-// sweep fallback).
+// Eq. 4 TX-lookup scan over the located cell's candidates (or, under an
+// unreachable FallbackCorr, the sweep fallback), nor that scan alone.
 // (testing.AllocsPerRun pins GOMAXPROCS to 1, so the exhaustive fill
 // takes its serial branch; the sharded branch's goroutine spawns are an
 // accepted multi-core cost, and the batch path disables them anyway.)
@@ -64,6 +64,17 @@ func TestEstimateZeroAllocSteadyState(t *testing.T) {
 			}
 			if allocs != 0 {
 				t.Fatalf("steady-state SelectSector allocates %.1f times per call, want 0", allocs)
+			}
+			aoa, err := est.EstimateAoA(ctx, probes)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var best sector.ID
+			allocs = testing.AllocsPerRun(100, func() {
+				best, _ = est.tx.Best(est.tx.Locate(aoa.Az, aoa.El))
+			})
+			if allocs != 0 || best == sector.RX {
+				t.Fatalf("Eq. 4 lookup allocates %.1f times per call (sector %v), want 0", allocs, best)
 			}
 		})
 	}

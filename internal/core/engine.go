@@ -213,75 +213,71 @@ func (en *engine) probeCols(ids []sector.ID) *[]int16 {
 
 func (en *engine) putCols(buf *[]int16) { en.colBufs.Put(buf) }
 
-// correlateAt is the engine twin of Estimator.correlate at one grid
-// point: identical accumulation order, fixed 64-component capacity,
-// missing-component skips and guards, but with the pattern lookup
-// replaced by a contiguous dictionary read.
-func (en *engine) correlateAt(base int, cols []int16, lin []float64) float64 {
-	return correlateIn(en.dict, base, cols, lin)
-}
-
-// correlateIn is correlateAt over an explicit dictionary slice — the
-// dense dict or the decimated coarse copy; the math is identical either
-// way, so grid points present in both dictionaries score bit-identically.
-func correlateIn(dict []float64, base int, cols []int16, lin []float64) float64 {
-	var xs, ps [64]float64
+// jointIn evaluates the joint Eq. 5 correlation at one base offset of a
+// dictionary (the dense dict or the decimated coarse copy). Every
+// engine search scores through it, so the grid points they share score
+// bit-identically. It is Estimator.correlate on SNR times on RSSI, with
+// a dictionary read for the pattern lookup. The components
+// (present columns with a non-NaN entry, at most 64) depend only on the
+// dictionary, so both factors share one selection, x̄ and Σdx²; the
+// second walk re-reads them instead of buffering. Every accumulator
+// keeps the serial order, so each factor is bit-identical to its own
+// correlate call; an exactly-0 SNR factor makes the RSSI one moot.
+func jointIn(dict []float64, base int, cols []int16, snrLin, rssiLin []float64, snrOnly bool) float64 {
 	used := 0
-	var sumP, sumX float64
+	var sumS, sumR, sumX float64
 	for i, c := range cols {
 		if c < 0 {
 			continue
 		}
 		x := dict[base+int(c)]
-		if math.IsNaN(x) {
+		if x != x {
 			continue
 		}
-		if used >= len(xs) {
+		if used == 64 {
 			break
 		}
-		ps[used], xs[used] = lin[i], x
-		sumP += lin[i]
+		sumS += snrLin[i]
+		sumR += rssiLin[i]
 		sumX += x
 		used++
 	}
 	if used < 3 {
 		return 0
 	}
-	meanP, meanX := sumP/float64(used), sumX/float64(used)
-	var dot, nm, nx float64
-	for i := 0; i < used; i++ {
-		dp, dx := ps[i]-meanP, xs[i]-meanX
-		dot += dp * dx
-		nm += dp * dp
+	n := float64(used)
+	meanS, meanR, meanX := sumS/n, sumR/n, sumX/n
+	var dotS, nmS, dotR, nmR, nx float64
+	for i, k := 0, 0; k < used; i++ {
+		c := cols[i]
+		if c < 0 {
+			continue
+		}
+		x := dict[base+int(c)]
+		if x != x {
+			continue
+		}
+		ds, dr, dx := snrLin[i]-meanS, rssiLin[i]-meanR, x-meanX
+		dotS += ds * dx
+		nmS += ds * ds
 		nx += dx * dx
+		dotR += dr * dx
+		nmR += dr * dr
+		k++
 	}
-	if nm == 0 || nx == 0 {
-		return 0
-	}
-	w := dot * dot / (nm * nx)
-	if dot < 0 {
-		return 0
-	}
-	return w
-}
-
-// jointAt evaluates the joint Eq. 5 correlation at one dictionary base
-// offset. The serial path multiplies unconditionally; when the SNR
-// correlation is exactly 0 the product is identically 0, so skipping the
-// RSSI correlate is value-preserving. Both the dense fill and the
-// hierarchical search go through this helper, so every grid point they
-// share computes bit-identical values.
-func (en *engine) jointAt(pt int, cols []int16, snrLin, rssiLin []float64, snrOnly bool) float64 {
-	return jointIn(en.dict, pt, cols, snrLin, rssiLin, snrOnly)
-}
-
-// jointIn is jointAt over an explicit dictionary slice.
-func jointIn(dict []float64, pt int, cols []int16, snrLin, rssiLin []float64, snrOnly bool) float64 {
-	v := correlateIn(dict, pt, cols, snrLin)
+	v := pearsonSq(dotS, nmS, nx)
 	if v != 0 && !snrOnly {
-		v *= correlateIn(dict, pt, cols, rssiLin)
+		v *= pearsonSq(dotR, nmR, nx)
 	}
 	return v
+}
+
+// pearsonSq is Eq. 2 from its centered sums; 0 if flat or anti-correlated.
+func pearsonSq(dot, nm, nx float64) float64 {
+	if nm == 0 || nx == 0 || dot < 0 {
+		return 0
+	}
+	return dot * dot / (nm * nx)
 }
 
 // fillRow computes one elevation row of the joint correlation surface.
@@ -290,7 +286,7 @@ func (en *engine) fillRow(w []float64, ei int, cols []int16, snrLin, rssiLin []f
 	row := w[ei*numAz : (ei+1)*numAz]
 	base := ei * numAz * en.stride
 	for ai := range row {
-		row[ai] = en.jointAt(base+ai*en.stride, cols, snrLin, rssiLin, snrOnly)
+		row[ai] = jointIn(en.dict, base+ai*en.stride, cols, snrLin, rssiLin, snrOnly)
 	}
 }
 

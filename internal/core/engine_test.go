@@ -264,3 +264,137 @@ func TestEngineConcurrentUse(t *testing.T) {
 		}
 	}
 }
+
+// correlateInOracle is the float epilogue's per-vector correlation from
+// before jointIn fused the SNR and RSSI passes: its own component
+// selection into fixed 64-entry buffers, then the centered sums.
+func correlateInOracle(dict []float64, base int, cols []int16, lin []float64) float64 {
+	var xs, ps [64]float64
+	used := 0
+	var sumP, sumX float64
+	for i, c := range cols {
+		if c < 0 {
+			continue
+		}
+		x := dict[base+int(c)]
+		if math.IsNaN(x) {
+			continue
+		}
+		if used >= len(xs) {
+			break
+		}
+		ps[used], xs[used] = lin[i], x
+		sumP += lin[i]
+		sumX += x
+		used++
+	}
+	if used < 3 {
+		return 0
+	}
+	meanP, meanX := sumP/float64(used), sumX/float64(used)
+	var dot, nm, nx float64
+	for i := 0; i < used; i++ {
+		dp, dx := ps[i]-meanP, xs[i]-meanX
+		dot += dp * dx
+		nm += dp * dp
+		nx += dx * dx
+	}
+	if nm == 0 || nx == 0 {
+		return 0
+	}
+	w := dot * dot / (nm * nx)
+	if dot < 0 {
+		return 0
+	}
+	return w
+}
+
+// jointInOracle is the two-call jointIn body the fused pass replaced.
+func jointInOracle(dict []float64, base int, cols []int16, snrLin, rssiLin []float64, snrOnly bool) float64 {
+	v := correlateInOracle(dict, base, cols, snrLin)
+	if v != 0 && !snrOnly {
+		v *= correlateInOracle(dict, base, cols, rssiLin)
+	}
+	return v
+}
+
+// TestJointInMatchesTwoCallOracle pins the fused float epilogue to the
+// two separate correlations bit for bit, on random vectors with NaN
+// dictionary entries, absent columns, more than 64 and fewer than 3
+// usable components, zero variance, anti-correlated shapes and SNR-only
+// scoring.
+func TestJointInMatchesTwoCallOracle(t *testing.T) {
+	rng := stats.NewRNG(17)
+	const stride = 90
+	kinds := map[string]int{}
+	for trial := 0; trial < 20000; trial++ {
+		n := rng.Intn(100)
+		base := stride * rng.Intn(3)
+		dict := make([]float64, 3*stride)
+		for i := range dict {
+			dict[i] = rng.Float64()
+			if rng.Bool(0.15) {
+				dict[i] = math.NaN()
+			}
+		}
+		cols := make([]int16, n)
+		snr, rssi := make([]float64, n), make([]float64, n)
+		for i := range cols {
+			cols[i] = int16(rng.Intn(stride))
+			if rng.Bool(0.1) {
+				cols[i] = -1
+			}
+			snr[i], rssi[i] = 50*rng.Float64(), 1e-6*rng.Float64()
+		}
+		kind := "random"
+		switch trial % 5 {
+		case 1: // zero variance in the measurements
+			kind = "flat"
+			for i := range snr {
+				snr[i], rssi[i] = 3, 3
+			}
+		case 2: // zero variance in the dictionary
+			kind = "flat-dict"
+			for i := range dict {
+				if !math.IsNaN(dict[i]) {
+					dict[i] = 0.5
+				}
+			}
+		case 3: // anti-correlated RSSI, correlated SNR
+			kind = "anti"
+			for i, c := range cols {
+				if c >= 0 {
+					snr[i], rssi[i] = 2*dict[base+int(c)], 1-dict[base+int(c)]
+				}
+			}
+		}
+		usable := 0
+		for _, c := range cols {
+			if c >= 0 && !math.IsNaN(dict[base+int(c)]) {
+				usable++
+			}
+		}
+		switch {
+		case usable < 3:
+			kinds["<3"]++
+		case usable > 64:
+			kinds[">64"]++
+		}
+		for _, snrOnly := range []bool{false, true} {
+			want := jointInOracle(dict, base, cols, snr, rssi, snrOnly)
+			got := jointIn(dict, base, cols, snr, rssi, snrOnly)
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("trial %d (%s, snrOnly=%v, %d probes, %d usable): jointIn = %v, oracle %v",
+					trial, kind, snrOnly, n, usable, got, want)
+			}
+			if want != 0 {
+				kinds[kind]++
+			}
+		}
+	}
+	for _, k := range []string{"<3", ">64", "random", "anti"} {
+		if kinds[k] == 0 {
+			t.Errorf("no trial covered case %q", k)
+		}
+	}
+}

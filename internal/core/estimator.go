@@ -372,10 +372,10 @@ func (e *Estimator) estimate(ctx context.Context, probes []Probe, maxShards int)
 			if !e.opts.NoRefine {
 				numAz := len(en.az)
 				az = refineAxis(en.az, bestA, func(i int) float64 {
-					return en.jointAt((bestE*numAz+i)*en.stride, cols, g.snr, g.rssi, snrOnly)
+					return jointIn(en.dict, (bestE*numAz+i)*en.stride, cols, g.snr, g.rssi, snrOnly)
 				})
 				el = refineAxis(en.el, bestE, func(i int) float64 {
-					return en.jointAt((i*numAz+bestA)*en.stride, cols, g.snr, g.rssi, snrOnly)
+					return jointIn(en.dict, (i*numAz+bestA)*en.stride, cols, g.snr, g.rssi, snrOnly)
 				})
 			}
 			return AoAEstimate{Az: az, El: el, Corr: bestW, Used: reported}, nil

@@ -20,7 +20,7 @@ import (
 // ranks among the top-K coarse cells — which the equivalence suite shows
 // holds for essentially all realistic probe vectors — the result is bit
 // identical to the exhaustive search: both paths score shared points via
-// engine.jointAt, scan candidates in the dense row-major order, and
+// jointIn, scan candidates in the dense row-major order, and
 // break ties by the same strictly-greater rule.
 //
 // When the coarse pass finds no positive cell at all (degenerate or
@@ -163,7 +163,7 @@ func (en *engine) searchHier(ctx context.Context, cols []int16, snrLin, rssiLin 
 				lo = cursor + 1
 			}
 			for ai := lo; ai <= int(s.hi); ai++ {
-				v := en.jointAt(base+ai*en.stride, cols, snrLin, rssiLin, snrOnly)
+				v := jointIn(en.dict, base+ai*en.stride, cols, snrLin, rssiLin, snrOnly)
 				scored++
 				if v > bestW {
 					bestA, bestE, bestW = ai, ei, v

@@ -70,11 +70,7 @@ func (e *Estimator) EstimateMultipath(ctx context.Context, probes []Probe, k int
 				}
 				var v float64
 				if cols != nil {
-					pt := (ei*len(azAxis) + ai) * e.en.stride
-					v = e.en.correlateAt(pt, cols, snr)
-					if v != 0 && !e.opts.SNROnly {
-						v *= e.en.correlateAt(pt, cols, rssi)
-					}
+					v = jointIn(e.en.dict, (ei*len(azAxis)+ai)*e.en.stride, cols, snr, rssi, e.opts.SNROnly)
 				} else {
 					pt := pattern.Locate(grid, az, el)
 					v = e.correlate(ids, snr, pt)

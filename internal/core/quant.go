@@ -243,7 +243,7 @@ func (en *engine) buildQuant(opts Options) {
 // estimates.
 func (en *engine) quant() bool { return len(en.dictQ) > 0 }
 
-// correlateQ is the quantized twin of correlateIn: Eq. 2 over one
+// correlateQ is the quantized twin of one jointIn factor: Eq. 2 over one
 // dictionary row, computed from single-pass int32 raw moments instead of
 // the float path's two-pass centered form. Component selection mirrors
 // the float kernel exactly — skip absent columns, skip quantMissing
@@ -695,25 +695,25 @@ func (e *Estimator) quantEpilogue(g *gatherScratch, cols []int16, bestA, bestE i
 	snrOnly := e.opts.SNROnly
 	linearizeGather(g)
 	numAz := len(en.az)
-	w := en.jointAt((bestE*numAz+bestA)*en.stride, cols, g.snr, g.rssi, snrOnly)
+	w := jointIn(en.dict, (bestE*numAz+bestA)*en.stride, cols, g.snr, g.rssi, snrOnly)
 	aoa := AoAEstimate{Az: en.az[bestA], El: en.el[bestE], Corr: w, Used: reported, Cell: cellOf(bestA, bestE)}
 	if !e.opts.NoRefine {
 		// The closures serve the already-computed centre value instead of
-		// re-deriving it; jointAt is deterministic, so this is only a
+		// re-deriving it; jointIn is deterministic, so this is only a
 		// recomputation skip.
 		//lint:allow noalloc -- closure captures only stack values; escape analysis keeps it off the heap (see TestEstimateZeroAllocSteadyState)
 		aoa.Az = refineAxis(en.az, bestA, func(i int) float64 {
 			if i == bestA {
 				return w
 			}
-			return en.jointAt((bestE*numAz+i)*en.stride, cols, g.snr, g.rssi, snrOnly)
+			return jointIn(en.dict, (bestE*numAz+i)*en.stride, cols, g.snr, g.rssi, snrOnly)
 		})
 		//lint:allow noalloc -- closure captures only stack values; escape analysis keeps it off the heap (see TestEstimateZeroAllocSteadyState)
 		aoa.El = refineAxis(en.el, bestE, func(i int) float64 {
 			if i == bestE {
 				return w
 			}
-			return en.jointAt((i*numAz+bestA)*en.stride, cols, g.snr, g.rssi, snrOnly)
+			return jointIn(en.dict, (i*numAz+bestA)*en.stride, cols, g.snr, g.rssi, snrOnly)
 		})
 	}
 	return aoa

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"math"
+	"math/bits"
 	"time"
 
 	"talon/internal/core"
@@ -154,44 +155,29 @@ func (m *Manager) synthProbes(st *station, dst []core.Probe) []core.Probe {
 	ids, pats := m.tx.IDs(), m.tx.Patterns()
 	idx := rng.SampleInto(m.sampleIdx, len(ids), m.cfg.probeBudget)
 	m.sampleIdx = idx[:0]
-	// Keep stock sweep order, like dot11ad.SubSweepSchedule.
-	sortInts(idx)
+	// Keep stock sweep order, like dot11ad.SubSweepSchedule: mark the
+	// drawn positions (sector IDs are bytes, so fewer than 256 of them)
+	// and walk the marks ascending.
+	var drawn [4]uint64
+	for _, j := range idx {
+		drawn[j>>6] |= 1 << (j & 63)
+	}
 	pt := m.locate(st)
 	dst = dst[:0]
-	for _, j := range idx {
-		pr := core.Probe{Sector: ids[j]}
-		meas, ok := m.model.Observe(m.trueSNR(st, pats[j].AtPoint(pt)), rng)
-		if ok && st.faultLossFrac > 0 && rng.Bool(st.faultLossFrac) {
-			ok = false
+	for w, word := range drawn {
+		for ; word != 0; word &= word - 1 {
+			j := w<<6 | bits.TrailingZeros64(word)
+			pr := core.Probe{Sector: ids[j]}
+			meas, ok := m.model.Observe(m.trueSNR(st, pats[j].AtPoint(pt)), rng)
+			if ok && st.faultLossFrac > 0 && rng.Bool(st.faultLossFrac) {
+				ok = false
+			}
+			if ok {
+				pr.Meas, pr.OK = meas, true
+			}
+			dst = append(dst, pr)
 		}
-		if ok {
-			pr.Meas, pr.OK = meas, true
-		}
-		dst = append(dst, pr)
 	}
 	st.faultLossFrac = 0 // the burst hit this round only
 	return dst
-}
-
-// sortInts is a tiny insertion sort: probe subsets are ≤ 34 entries, so
-// this beats sort.Ints' interface overhead on the serve hot path.
-func sortInts(a []int) {
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j] < a[j-1]; j-- {
-			a[j], a[j-1] = a[j-1], a[j]
-		}
-	}
-}
-
-// fallbackSector picks the strongest reported probe — the argmax the
-// stock sweep would use — for rounds whose estimation failed. ok is
-// false when no probe reported.
-func fallbackSector(probes []core.Probe) (sector.ID, bool) {
-	best, bestSNR, ok := sector.ID(0), math.Inf(-1), false
-	for _, p := range probes {
-		if p.OK && p.Meas.SNR > bestSNR {
-			best, bestSNR, ok = p.Sector, p.Meas.SNR, true
-		}
-	}
-	return best, ok
 }

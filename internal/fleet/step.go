@@ -411,7 +411,7 @@ func (m *Manager) applyOutcome(st *station, h *hotStation, probes []core.Probe, 
 	} else {
 		m.acc.failures++
 		metSelectFailures.Inc()
-		if id, ok := fallbackSector(probes); ok {
+		if id, ok := core.SweepSelect(probes); ok {
 			st.sector, st.haveSector, adopted = id, true, true
 			m.acc.fallbacks++
 			metFallbacks.Inc()

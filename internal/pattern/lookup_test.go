@@ -80,6 +80,24 @@ func bestOracle(s *Set, az, el float64) (sector.ID, float64) {
 	return best, bestGain
 }
 
+// bestFullScan is TXLookup.Best from before the candidate index: every
+// TX pattern read at pt, in ascending ID order.
+func bestFullScan(l *TXLookup, pt Point) (sector.ID, float64) {
+	best, bestGain := sector.RX, math.Inf(-1)
+	found := false
+	for i, p := range l.pats {
+		g := p.AtPoint(pt)
+		if g > bestGain { // false for NaN
+			best, bestGain = l.ids[i], g
+			found = true
+		}
+	}
+	if !found {
+		return sector.RX, math.NaN()
+	}
+	return best, bestGain
+}
+
 // holeySet builds a TX codebook on grid whose NaN holes give grid cells
 // with one, two and four missing corners, plus an exact duplicate
 // pattern (a tie Best must resolve to the lower ID) and an all-missing
@@ -184,6 +202,9 @@ func checkLookup(t *testing.T, s *Set, az, el float64) {
 	if id, g := s.TX().Best(pt); id != wantID || bits(g) != bits(wantGain) {
 		t.Fatalf("(%v, %v): Best = (%v, %v), oracle (%v, %v)", az, el, id, g, wantID, wantGain)
 	}
+	if id, g := bestFullScan(s.TX(), pt); id != wantID || bits(g) != bits(wantGain) {
+		t.Fatalf("(%v, %v): full scan = (%v, %v), oracle (%v, %v)", az, el, id, g, wantID, wantGain)
+	}
 	if id, g := s.BestSector(az, el); id != wantID || bits(g) != bits(wantGain) {
 		t.Fatalf("(%v, %v): BestSector = (%v, %v), oracle (%v, %v)", az, el, id, g, wantID, wantGain)
 	}
@@ -264,22 +285,191 @@ func TestTXLookupView(t *testing.T) {
 	}
 }
 
-// TestLookupZeroAlloc guards the Eq. 4 scan's allocation contract.
+// edgeSet is holeySet plus the cases the candidate index must not
+// break: sectors one ulp above and below sector 2 everywhere (near-ties
+// on both sides of the winner), a +Inf and a -Inf sample, and a sector
+// that is missing except for one sample.
+func edgeSet(t testing.TB, grid *geom.Grid) *Set {
+	t.Helper()
+	s := holeySet(t, grid)
+	nudge := func(p *Pattern, to float64) *Pattern {
+		out := p.Clone()
+		for _, row := range out.gain {
+			for i, v := range row {
+				row[i] = math.Nextafter(v, to)
+			}
+		}
+		return out
+	}
+	put := func(id sector.ID, p *Pattern) {
+		if err := s.Put(id, p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	nA, nE := grid.NumAz(), grid.NumEl()
+	put(14, nudge(s.Get(2), math.Inf(1)))
+	put(15, nudge(s.Get(2), math.Inf(-1)))
+	posInf := s.Get(7).Clone()
+	posInf.Set(nA/2, nE/2, math.Inf(1))
+	put(20, posInf)
+	negInf := s.Get(5).Clone()
+	negInf.Set(nA-1, 0, math.Inf(-1))
+	put(21, negInf)
+	lone := New(grid)
+	lone.Set(0, nE-1, 30)
+	put(22, lone)
+	return s
+}
+
+// TestTXBestMatchesFullScan pins the candidate-indexed Best and
+// BestSector to the full ascending scan bit for bit: on grid nodes, cell edges and between
+// them, clamped outside the grid, at NaN and ±Inf directions, on cells
+// with one, two and four missing corners, with all-missing sectors,
+// ±Inf samples, exact ties and ties within one ulp, on 1×N and N×1
+// grids.
+func TestTXBestMatchesFullScan(t *testing.T) {
+	bits := math.Float64bits
+	rng := rand.New(rand.NewSource(5))
+	for name, grid := range lookupGrids(t) {
+		t.Run(name, func(t *testing.T) {
+			s := edgeSet(t, grid)
+			tx := s.TX()
+			check := func(az, el float64) {
+				pt := tx.Locate(az, el)
+				wantID, wantGain := bestFullScan(tx, pt)
+				if id, g := tx.Best(pt); id != wantID || bits(g) != bits(wantGain) {
+					t.Fatalf("(%v, %v): Best = (%v, %v), full scan (%v, %v)", az, el, id, g, wantID, wantGain)
+				}
+				if id, g := s.BestSector(az, el); id != wantID || bits(g) != bits(wantGain) {
+					t.Fatalf("(%v, %v): BestSector = (%v, %v), full scan (%v, %v)", az, el, id, g, wantID, wantGain)
+				}
+			}
+			for _, d := range probeDirections(grid) {
+				check(d[0], d[1])
+			}
+			az, el := grid.Az(), grid.El()
+			for k := 0; k < 500; k++ {
+				check(az[0]-5+(az[len(az)-1]-az[0]+10)*rng.Float64(),
+					el[0]-5+(el[len(el)-1]-el[0]+10)*rng.Float64())
+			}
+		})
+	}
+}
+
+// TestTXBestRoundingTie pins the candidate margin: over a 2×2 grid,
+// sector 3 is flat at x and sector 4 flat one ulp higher, so 3's corners
+// all lie below 4's, yet at this point the rounded bilinear blends tie
+// and the full scan's first-of-equal-maxima rule picks sector 3. An
+// index without slack would have dropped it.
+func TestTXBestRoundingTie(t *testing.T) {
+	const x = 7.093205759592392
+	const az, el = 0.9405090880450124, 0.6645600532184904
+	grid := lookupGrids(t)["2x2"]
+	s := NewSet()
+	for id, v := range map[sector.ID]float64{3: x, 4: math.Nextafter(x, 8)} {
+		if err := s.Put(id, FromFunc(grid, func(float64, float64) float64 { return v })); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tx := s.TX()
+	pt := tx.Locate(az, el)
+	if g3, g4 := s.Get(3).AtPoint(pt), s.Get(4).AtPoint(pt); g3 != g4 {
+		t.Fatalf("blends %v and %v no longer tie; pick another point", g3, g4)
+	}
+	if id, g := tx.Best(pt); id != 3 || g != s.Get(3).AtPoint(pt) {
+		t.Fatalf("Best = (%v, %v), want sector 3 on the tie", id, g)
+	}
+}
+
+// TestTXCandidateIndex checks the index's shape: every list ascending,
+// no all-missing sector listed, every sector listed in a cell with an
+// infinite corner, and on a smooth codebook of overlapping beams far
+// fewer candidates per cell than sectors.
+func TestTXCandidateIndex(t *testing.T) {
+	grid := lookupGrids(t)["wide1.8"]
+	s := edgeSet(t, grid)
+	tx := s.TX()
+	nA, nE := grid.NumAz(), grid.NumEl()
+	for e := 0; e < nE-1; e++ {
+		for a := 0; a < nA-1; a++ {
+			cand := tx.candidates(Point{a: a, e: e})
+			for k, i := range cand {
+				if k > 0 && i <= cand[k-1] {
+					t.Fatalf("cell (%d, %d): candidates %v not ascending", a, e, cand)
+				}
+				if tx.ids[i] == 12 {
+					t.Fatalf("cell (%d, %d): all-missing sector 12 is a candidate", a, e)
+				}
+			}
+			if a <= nA/2 && nA/2 <= a+1 && e <= nE/2 && nE/2 <= e+1 {
+				sampled := 0
+				for _, p := range tx.pats {
+					if !math.IsNaN(nearestValid(0, 0, p.gain[e][a], p.gain[e][a+1], p.gain[e+1][a], p.gain[e+1][a+1])) {
+						sampled++
+					}
+				}
+				if len(cand) != sampled {
+					t.Fatalf("cell (%d, %d) has a +Inf corner but lists %d of its %d sampled sectors", a, e, len(cand), sampled)
+				}
+			}
+		}
+	}
+
+	beams := NewSet()
+	for id := sector.ID(1); id <= 34; id++ {
+		center := -90 + float64(id)*5.3
+		p := FromFunc(grid, func(az, el float64) float64 { return 12 - (az-center)*(az-center)/80 - el/6 })
+		if err := beams.Put(id, p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tx = beams.TX()
+	total := len(tx.cand)
+	if cells := len(tx.off) - 1; float64(total) > 6*float64(cells) {
+		t.Fatalf("beam codebook: %d candidates over %d cells, want at most 6 per cell", total, cells)
+	}
+}
+
+// TestLookupZeroAlloc guards the Eq. 4 scan's allocation contract,
+// candidate index included, once the lookup is built.
 func TestLookupZeroAlloc(t *testing.T) {
-	s := holeySet(t, lookupGrids(t)["wide1.8"])
+	s := edgeSet(t, lookupGrids(t)["wide1.8"])
 	tx := s.TX()
 	var sink float64
 	allocs := testing.AllocsPerRun(100, func() {
 		pt := tx.Locate(12.3, 7.7)
 		_, g := tx.Best(pt)
-		sink += g + s.Get(5).AtPoint(pt)
+		sink += g + s.Get(5).AtPoint(pt) + float64(len(tx.candidates(pt)))
 		_, g = s.BestSector(-40, 3)
+		sink += g
+		_, g = s.TX().Best(s.TX().Locate(80, 30))
 		sink += g
 	})
 	if allocs != 0 {
 		t.Fatalf("Locate/AtPoint/Best allocate %.1f times per call, want 0", allocs)
 	}
 	_ = sink
+}
+
+// TestTXLookupGenerations checks that Put retires the built lookup: the
+// next TX call indexes the new pattern, while a lookup held from before
+// keeps answering for the patterns it was built over.
+func TestTXLookupGenerations(t *testing.T) {
+	grid := lookupGrids(t)["9x5"]
+	s := holeySet(t, grid)
+	old := s.TX()
+	if s.TX() != old {
+		t.Fatal("TX rebuilt the lookup without a Put")
+	}
+	if err := s.Put(30, FromFunc(grid, func(az, el float64) float64 { return 50 })); err != nil {
+		t.Fatal(err)
+	}
+	if id, g := s.BestSector(0, 0); id != 30 || g != 50 {
+		t.Fatalf("after Put, BestSector(0, 0) = (%v, %v), want (30, 50)", id, g)
+	}
+	if id, _ := old.Best(old.Locate(0, 0)); id != 2 {
+		t.Fatalf("held lookup's Best(0, 0) = %v, want 2", id)
+	}
 }
 
 // FuzzLocate checks AtPoint(Locate) and Best against the oracles at
@@ -296,5 +486,58 @@ func FuzzLocate(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, az, el float64, which uint8) {
 		checkLookup(t, sets[int(which)%len(sets)], az, el)
+	})
+}
+
+// randomFuzzSet draws a small TX codebook whose samples come from a
+// short palette, so exact ties, one-ulp near-ties, missing samples, ±Inf
+// and extreme magnitudes meet in the same cells.
+func randomFuzzSet(t *testing.T, rng *rand.Rand, grid *geom.Grid) *Set {
+	palette := []float64{
+		0, 1, -3, 7.5, math.Nextafter(7.5, 8), math.Nextafter(7.5, 7), 12,
+		math.NaN(), math.Inf(1), math.Inf(-1), 1e300, -1e300, 5e-324,
+	}
+	s := NewSet()
+	for n := 2 + rng.Intn(7); n > 0; n-- {
+		p := New(grid)
+		smooth := rng.Float64() * 3
+		for e := range p.gain {
+			for a := range p.gain[e] {
+				switch v := palette[rng.Intn(len(palette))]; {
+				case rng.Intn(4) == 0 || math.IsNaN(v) || math.IsInf(v, 0):
+					p.gain[e][a] = v
+				default:
+					p.gain[e][a] = 7.5 - smooth*float64(a+e)/4
+				}
+			}
+		}
+		if err := s.Put(sector.ID(1+rng.Intn(40)), p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return s
+}
+
+// FuzzTXBest checks the candidate-indexed Best against the full scan on
+// random palette codebooks, at every probe direction of the grid and at
+// the fuzzed one.
+func FuzzTXBest(f *testing.F) {
+	for _, seed := range []int64{1, 2, 3, 42, 1 << 40} {
+		f.Add(seed, 0.3, 0.7, uint8(seed))
+	}
+	f.Add(int64(9), math.NaN(), math.Inf(1), uint8(1))
+	grids := lookupGrids(f)
+	names := []string{"9x5", "1xN", "Nx1", "1x1", "uneven", "2x2"}
+	f.Fuzz(func(t *testing.T, seed int64, az, el float64, which uint8) {
+		grid := grids[names[int(which)%len(names)]]
+		tx := randomFuzzSet(t, rand.New(rand.NewSource(seed)), grid).TX()
+		bits := math.Float64bits
+		for _, d := range append(probeDirections(grid), [2]float64{az, el}) {
+			pt := tx.Locate(d[0], d[1])
+			wantID, wantGain := bestFullScan(tx, pt)
+			if id, g := tx.Best(pt); id != wantID || bits(g) != bits(wantGain) {
+				t.Fatalf("(%v, %v): Best = (%v, %v), full scan (%v, %v)", d[0], d[1], id, g, wantID, wantGain)
+			}
+		}
 	})
 }

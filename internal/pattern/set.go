@@ -3,6 +3,7 @@ package pattern
 import (
 	"fmt"
 	"math"
+	"sync/atomic"
 
 	"talon/internal/geom"
 	"talon/internal/sector"
@@ -15,8 +16,9 @@ type Set struct {
 	// patterns is indexed by sector ID; nil marks an absent sector.
 	patterns [256]*Pattern
 	n        int
-	// tx is the TX view, rebuilt by every Put.
-	tx TXLookup
+	grid     *geom.Grid
+	// tx is the TX view: dropped by Put, built by the next TX call.
+	tx atomic.Pointer[TXLookup]
 }
 
 // NewSet returns an empty pattern set.
@@ -35,23 +37,9 @@ func (s *Set) Put(id sector.ID, p *Pattern) error {
 		s.n++
 	}
 	s.patterns[id] = p
-	s.reindex()
+	s.grid = p.grid
+	s.tx.Store(nil)
 	return nil
-}
-
-// reindex rebuilds the TX view after the stored patterns changed.
-func (s *Set) reindex() {
-	s.tx = TXLookup{}
-	for id, p := range s.patterns {
-		if p == nil {
-			continue
-		}
-		s.tx.grid = p.grid
-		if sector.ID(id) != sector.RX {
-			s.tx.ids = append(s.tx.ids, sector.ID(id))
-			s.tx.pats = append(s.tx.pats, p)
-		}
-	}
 }
 
 // Get returns the pattern for id, or nil if absent.
@@ -59,7 +47,7 @@ func (s *Set) Get(id sector.ID) *Pattern { return s.patterns[id] }
 
 // Grid returns the sampling grid shared by every pattern in the set, or
 // nil when the set is empty.
-func (s *Set) Grid() *geom.Grid { return s.tx.grid }
+func (s *Set) Grid() *geom.Grid { return s.grid }
 
 // Len returns the number of stored patterns.
 func (s *Set) Len() int { return s.n }
@@ -81,16 +69,25 @@ func (s *Set) ids(from sector.ID) []sector.ID {
 	return out
 }
 
-// TX returns the set's transmit-sector lookup. It is rebuilt by Put, so
-// a caller holding it must not mutate the set afterwards.
-func (s *Set) TX() *TXLookup { return &s.tx }
+// TX returns the set's transmit-sector lookup, built with its candidate
+// index by the first call after a Put. A held lookup keeps describing
+// the patterns it was built over; their samples must not be modified
+// while it is in use.
+func (s *Set) TX() *TXLookup {
+	l := s.tx.Load()
+	if l == nil {
+		l = newTXLookup(s)
+		s.tx.Store(l)
+	}
+	return l
+}
 
 // GainVector evaluates the patterns of ids at direction (az, el) and
 // returns the gains, in the order of ids. Missing patterns or samples yield
 // NaN entries.
 func (s *Set) GainVector(ids []sector.ID, az, el float64) []float64 {
 	out := make([]float64, len(ids))
-	pt := s.tx.Locate(az, el)
+	pt := s.TX().Locate(az, el)
 	for i, id := range ids {
 		p := s.patterns[id]
 		if p == nil {
@@ -107,18 +104,18 @@ func (s *Set) GainVector(ids []sector.ID, az, el float64) []float64 {
 // that gain. It returns (sector.RX, NaN) if the set holds no usable TX
 // pattern.
 func (s *Set) BestSector(az, el float64) (sector.ID, float64) {
-	return s.tx.Best(s.tx.Locate(az, el))
+	tx := s.TX()
+	return tx.Best(tx.Locate(az, el))
 }
 
 // Clone returns a deep copy of the set.
 func (s *Set) Clone() *Set {
-	out := &Set{n: s.n}
+	out := &Set{n: s.n, grid: s.grid}
 	for id, p := range s.patterns {
 		if p != nil {
 			out.patterns[id] = p.Clone()
 		}
 	}
-	out.reindex()
 	return out
 }
 
@@ -127,10 +124,70 @@ func (s *Set) Clone() *Set {
 // the set's patterns and copies no samples. Best is the one Eq. 4 scan
 // of the code base; every per-direction codebook query locates the
 // direction once and reads each pattern with AtPoint.
+//
+// AtPoint blends a cell's four corners convexly or returns one of them,
+// so a sector whose largest corner is below another sector's smallest
+// loses everywhere in the cell; Best scans only the other sectors.
 type TXLookup struct {
 	grid *geom.Grid
 	ids  []sector.ID
 	pats []*Pattern
+	// cand[off[c]:off[c+1]] lists cell c's candidates (pats positions).
+	cellsAz int
+	off     []int32
+	cand    []uint8
+}
+
+// candMargin is the candidate bound's slack relative to the cell's
+// largest magnitude, far above the blend's few-ulp rounding.
+const candMargin = 1e-9
+
+// newTXLookup builds the TX view of s and its per-cell candidate index.
+func newTXLookup(s *Set) *TXLookup {
+	l := &TXLookup{grid: s.grid, cellsAz: 1, off: []int32{0, 0}}
+	for id := sector.RX + 1; id != 0; id++ { // ends when the byte wraps
+		if p := s.patterns[id]; p != nil {
+			l.ids = append(l.ids, id)
+			l.pats = append(l.pats, p)
+		}
+	}
+	if l.grid == nil {
+		return l
+	}
+	nA, nE := l.grid.NumAz(), l.grid.NumEl()
+	l.cellsAz = max(nA-1, 1)
+	cellsEl := max(nE-1, 1)
+	l.off = make([]int32, 1, l.cellsAz*cellsEl+1)
+	lo, hi := make([]float64, len(l.pats)), make([]float64, len(l.pats))
+	for e := 0; e < cellsEl; e++ {
+		e1 := min(e+1, nE-1)
+		for a := 0; a < l.cellsAz; a++ {
+			a1 := min(a+1, nA-1)
+			floor, scale, inf := math.Inf(-1), 0.0, false
+			for i, p := range l.pats {
+				lo[i], hi[i] = math.Inf(1), math.Inf(-1)
+				for _, v := range [4]float64{p.gain[e][a], p.gain[e][a1], p.gain[e1][a], p.gain[e1][a1]} {
+					if v == v { // NaN marks a missing corner
+						lo[i], hi[i] = min(lo[i], v), max(hi[i], v)
+						scale, inf = max(scale, math.Abs(v)), inf || math.IsInf(v, 0)
+					}
+				}
+				if lo[i] <= hi[i] {
+					floor = max(floor, lo[i])
+				}
+			}
+			// An infinite corner leaves no margin (and Inf·0 in the
+			// blend is NaN): keep every sector that has a sample.
+			bound := floor - candMargin*(1+scale)
+			for i := range l.pats {
+				if lo[i] <= hi[i] && (inf || hi[i] >= bound) {
+					l.cand = append(l.cand, uint8(i))
+				}
+			}
+			l.off = append(l.off, int32(len(l.cand)))
+		}
+	}
+	return l
 }
 
 // IDs returns the TX sector IDs, ascending. The slice must not be
@@ -153,23 +210,31 @@ func (l *TXLookup) Locate(az, el float64) Point {
 }
 
 // Best returns the TX sector with the highest gain at pt and that gain
-// (Eq. 4): an ascending-ID scan that skips missing (NaN) gains and keeps
-// the first of equal maxima. It returns (sector.RX, NaN) when no TX
-// pattern has a usable gain there.
+// (Eq. 4): an ascending-ID scan of the cell's candidates that skips
+// missing (NaN) gains and keeps the first of equal maxima, which is the
+// full scan's answer bit for bit. It returns (sector.RX, NaN) when no TX
+// pattern has a usable gain there. pt must be located on the set's
+// grid.
 //
 //talon:noalloc
 func (l *TXLookup) Best(pt Point) (sector.ID, float64) {
-	best, bestGain := sector.RX, math.Inf(-1)
-	found := false
-	for i, p := range l.pats {
-		g := p.AtPoint(pt)
-		if g > bestGain { // false for NaN
-			best, bestGain = l.ids[i], g
-			found = true
+	best, bestGain := -1, math.Inf(-1)
+	for _, i := range l.candidates(pt) {
+		if g := l.pats[i].AtPoint(pt); g > bestGain { // false for NaN
+			best, bestGain = int(i), g
 		}
 	}
-	if !found {
+	if best < 0 {
 		return sector.RX, math.NaN()
 	}
-	return best, bestGain
+	return l.ids[best], bestGain
+}
+
+// candidates returns the positions in pats of the sectors that can win
+// Eq. 4 in pt's grid cell, ascending.
+//
+//talon:noalloc
+func (l *TXLookup) candidates(pt Point) []uint8 {
+	c := pt.e*l.cellsAz + pt.a
+	return l.cand[l.off[c]:l.off[c+1]]
 }

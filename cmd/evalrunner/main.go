@@ -22,12 +22,11 @@
 // flags together for a record-then-replay round trip, or record once and
 // replay many times.
 //
-// Estimation: -exact forces the paper-faithful exhaustive grid search;
-// by default the estimators run the hierarchical coarse-to-fine search
-// (same selections on essentially all inputs, several times faster —
-// see DESIGN.md §12). -workers bounds the trial-loop parallelism; the
-// engine's internal sharding is capped automatically so trial workers ×
-// engine shards never oversubscribes GOMAXPROCS.
+// Estimation: -exact runs the exhaustive float64 oracle; by default the
+// estimators run the quantized int16 coarse-to-fine kernel (same
+// selections on essentially all inputs, many times faster — see
+// DESIGN.md §15). -workers bounds the trial-loop parallelism, the only
+// fan-out of an evaluation run: each estimate is single-threaded.
 //
 // Fault injection: -fault-rates sets the loss rates the faultsweep
 // study sweeps (comma-separated), -fault-burst the mean loss-burst
@@ -64,7 +63,7 @@ var (
 	list       = flag.Bool("list", false, "list the registered studies and exit")
 	outDir     = flag.String("out", "", "also write <study>.txt and <study>.json artifacts to this directory")
 	workers    = flag.Int("workers", 0, "trial-loop worker count (0 = GOMAXPROCS, 1 = serial); results are identical at any setting")
-	exact      = flag.Bool("exact", false, "force the paper-faithful exhaustive grid search instead of the hierarchical coarse-to-fine search")
+	exact      = flag.Bool("exact", false, "run the exhaustive float64 oracle instead of the quantized int16 coarse-to-fine kernel")
 	metricsOut = flag.String("metrics", "", "dump the metrics registry as JSON to this file on exit (\"-\" = stdout)")
 	debugAddr  = flag.String("debug", "", "serve /metrics and /debug/pprof on this address (e.g. localhost:6060)")
 	cpuProfile = flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
@@ -87,7 +86,7 @@ func main() {
 	flag.Parse()
 	eval.SetParallelism(*workers)
 	if *exact {
-		eval.SetEstimatorOptions(core.Options{ExactSearch: true})
+		eval.SetEstimatorOptions(core.Options{Kernel: core.KernelFloat64})
 	}
 	cleanup, err := obs.HookCLI(*metricsOut, *debugAddr, *cpuProfile)
 	if err != nil {

@@ -10,13 +10,11 @@ import (
 
 // TestEstimateZeroAllocSteadyState is the allocation-regression guard of
 // the estimate hot path: after the scratch pools are warm, one
-// EstimateAoA — hierarchical or exhaustive — must not allocate at all,
-// and neither may a whole SelectSector, whose finishSelection adds the
-// Eq. 4 TX-lookup scan over the located cell's candidates (or, under an
-// unreachable FallbackCorr, the sweep fallback), nor that scan alone.
-// (testing.AllocsPerRun pins GOMAXPROCS to 1, so the exhaustive fill
-// takes its serial branch; the sharded branch's goroutine spawns are an
-// accepted multi-core cost, and the batch path disables them anyway.)
+// EstimateAoA — on the quantized kernel or the exhaustive float64
+// oracle — must not allocate at all, and neither may a whole
+// SelectSector, whose finishSelection adds the Eq. 4 TX-lookup scan over
+// the located cell's candidates (or, under an unreachable FallbackCorr,
+// the sweep fallback), nor that scan alone.
 func TestEstimateZeroAllocSteadyState(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation accounting is perturbed under the race detector")
@@ -31,8 +29,7 @@ func TestEstimateZeroAllocSteadyState(t *testing.T) {
 		opts Options
 	}{
 		{"quant-hierarchical", Options{}},
-		{"float-hierarchical", Options{Kernel: KernelFloat64}},
-		{"exhaustive", Options{ExactSearch: true}},
+		{"exhaustive", Options{Kernel: KernelFloat64}},
 		{"quant-sweep-fallback", Options{FallbackCorr: 2}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

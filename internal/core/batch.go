@@ -5,7 +5,6 @@ import (
 	"math"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -39,15 +38,15 @@ func BatchOf(batch [][]Probe) []BatchItem {
 }
 
 // SelectSectorBatch runs the full CSS pipeline over a batch of
-// independent probe vectors on one persistent worker pool, amortizing
-// the per-call goroutine spawn and scratch churn of calling SelectSector
-// in a loop. Each item's estimate runs with engine sharding disabled
-// (the batch workers are the only parallelism), so the combined
-// goroutine count is exactly the worker count and nested fan-out cannot
-// oversubscribe GOMAXPROCS. workers <= 0 picks GOMAXPROCS; any value is
-// capped at GOMAXPROCS and at the batch size. Per-item results are
-// deterministic and identical to SelectSector (or, for hinted items,
-// SelectSectorWarm) at any worker count.
+// independent probe vectors, amortizing the per-call scratch churn of
+// calling SelectSector in a loop. The batch is split into contiguous
+// chunks, one per worker; on the quantized kernel each chunk shares one
+// tiled sweep of the coarse dictionary (see tile.go), on the float64
+// oracle a chunk is a plain loop over SelectSector. workers <= 0 picks
+// GOMAXPROCS; any value is capped at GOMAXPROCS and at the batch size.
+// Per-item results are deterministic and identical to SelectSector (or,
+// for hinted items, SelectSectorWarm) at any worker count: the split
+// only decides which items share a sweep.
 //
 // ctx is observed between items and inside each item's grid search; on
 // cancellation the batch returns ctx.Err() and the results are
@@ -75,44 +74,42 @@ func (e *Estimator) SelectSectorBatch(ctx context.Context, batch []BatchItem, wo
 	metBatchOccupancy.Set(float64(n) / (float64(workers) * rounds))
 
 	out := make([]BatchResult, n)
-	if e.en != nil && e.en.quant() {
-		// Batch-major quantized pipeline: the coarse dictionary is swept
-		// tile by tile for a whole worker chunk at once (see tile.go).
-		// Per-item results are identical to the per-item loop below.
-		if err := e.selectBatchQuant(ctx, batch, out, workers); err != nil {
+	if workers == 1 {
+		if err := e.selectChunk(ctx, batch, out); err != nil {
 			return nil, err
 		}
 		return out, nil
 	}
-	if workers == 1 {
-		for i := range batch {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			sel, err := e.selectShards(ctx, batch[i].Probes, 1)
-			out[i] = BatchResult{Selection: sel, Err: err}
-		}
-		return out, nil
-	}
-	var next atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
+		lo, hi := w*n/workers, (w+1)*n/workers
 		wg.Add(1)
-		go func() {
+		go func(lo, hi int) {
 			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n || ctx.Err() != nil {
-					return
-				}
-				sel, err := e.selectShards(ctx, batch[i].Probes, 1)
-				out[i] = BatchResult{Selection: sel, Err: err}
-			}
-		}()
+			// Cancellation is surfaced via ctx.Err() below.
+			_ = e.selectChunk(ctx, batch[lo:hi], out[lo:hi])
+		}(lo, hi)
 	}
 	wg.Wait()
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	return out, nil
+}
+
+// selectChunk fills out[i] with exactly what SelectSector (or
+// SelectSectorWarm) would produce for batch[i], on the serving kernel.
+// It returns non-nil only on context cancellation.
+func (e *Estimator) selectChunk(ctx context.Context, batch []BatchItem, out []BatchResult) error {
+	if e.en.quant() {
+		return e.quantChunk(ctx, batch, out)
+	}
+	for i := range batch {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		sel, err := e.SelectSector(ctx, batch[i].Probes)
+		out[i] = BatchResult{Selection: sel, Err: err}
+	}
+	return nil
 }

@@ -39,21 +39,21 @@ func sameSelection(a, b Selection) bool {
 // option variants, probe counts and noisy observations (including missed
 // probes from the defect model), the precomputed-dictionary engine and the
 // reference serial grid search produce identical estimates and
-// selections. Every variant pins ExactSearch — the serial reference is
-// an exhaustive scan, so bit-for-bit equality is only promised for the
-// exhaustive engine path; the default hierarchical search has its own
-// equivalence suite in hier_test.go.
+// selections. Every variant pins KernelFloat64 — the serial reference is
+// an exhaustive float64 scan, so bit-for-bit equality is only promised
+// for the exhaustive oracle; the default quantized kernel has its own
+// equivalence suites in quant_equiv_test.go and hier_test.go.
 func TestEngineMatchesSerial(t *testing.T) {
 	set, gain := synthSetup(t)
 	variants := []struct {
 		name string
 		opts Options
 	}{
-		{"default", Options{ExactSearch: true}},
-		{"snr-only", Options{ExactSearch: true, SNROnly: true}},
-		{"no-refine", Options{ExactSearch: true, NoRefine: true}},
-		{"no-impute", Options{ExactSearch: true, NoImputeMissing: true}},
-		{"snr-only-no-refine", Options{ExactSearch: true, SNROnly: true, NoRefine: true}},
+		{"default", Options{Kernel: KernelFloat64}},
+		{"snr-only", Options{Kernel: KernelFloat64, SNROnly: true}},
+		{"no-refine", Options{Kernel: KernelFloat64, NoRefine: true}},
+		{"no-impute", Options{Kernel: KernelFloat64, NoImputeMissing: true}},
+		{"snr-only-no-refine", Options{Kernel: KernelFloat64, SNROnly: true, NoRefine: true}},
 	}
 	model := radio.DefaultMeasurementModel()
 	for _, v := range variants {
@@ -133,10 +133,10 @@ func TestEngineMatchesSerialWithHoles(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Bit-for-bit against the serial exhaustive reference, so pin
-	// ExactSearch (the random garbage readings below produce surfaces
-	// the hierarchical search is allowed to resolve differently).
-	est, err := NewEstimator(set, Options{ExactSearch: true})
+	// Bit-for-bit against the serial exhaustive reference, so pin the
+	// float64 oracle (the random garbage readings below produce surfaces
+	// the quantized kernel is allowed to resolve differently).
+	est, err := NewEstimator(set, Options{Kernel: KernelFloat64})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"math"
 	"sync"
-	"time"
 
 	"talon/internal/pattern"
 	"talon/internal/radio"
@@ -32,6 +31,17 @@ var (
 	// ErrDegenerateSurface reports a correlation surface with no positive
 	// maximum: the measurements carry no directional information.
 	ErrDegenerateSurface = errors.New("correlation surface is degenerate")
+	// ErrDuplicateProbe reports a probe vector that names the same sector
+	// twice. Such a vector is malformed input, not a weak measurement, so
+	// selection rejects it instead of falling back to the sweep.
+	ErrDuplicateProbe = errors.New("probe vector repeats a sector")
+)
+
+// Preformatted wrappings of the sentinels, so the hot paths that return
+// them never format.
+var (
+	errDegenerate     = fmt.Errorf("core: %w", ErrDegenerateSurface)
+	errDuplicateProbe = fmt.Errorf("core: %w", ErrDuplicateProbe)
 )
 
 // Probe is the outcome of probing one sector: the firmware's measurement,
@@ -83,35 +93,13 @@ type Options struct {
 	// floor level anti-correlates directions where that sector should
 	// have been strong, suppressing aliased estimates.
 	NoImputeMissing bool
-	// ExactSearch disables the hierarchical coarse-to-fine search and
-	// forces the exhaustive dense grid scan, preserving bit-for-bit the
-	// paper-faithful behaviour of the original engine (and of the serial
-	// reference path) on every input. The default hierarchical search
-	// matches it on all but adversarial surfaces at a fraction of the
-	// cost; see hier.go and DESIGN.md §12 for the trade-off.
-	ExactSearch bool
-	// CoarseDecim is the per-axis decimation factor of the hierarchical
-	// coarse grid. 0 picks DefaultCoarseDecim; values below 2 disable
-	// the hierarchy (equivalent to ExactSearch).
-	CoarseDecim int
-	// TopK is the number of coarse candidate cells the hierarchical
-	// search refines on the dense grid. 0 picks DefaultTopK.
-	TopK int
-	// Kernel pins the correlation-kernel implementation (see quant.go).
-	// KernelAuto (the zero value) picks the default — currently the
-	// quantized int16 kernel; KernelFloat64 pins the exact float64
-	// reference. ExactSearch implies KernelFloat64. Golden artifacts
-	// should pin the kernel they were recorded with so kernel-default
-	// changes cannot drift them.
+	// Kernel chooses the correlation kernel (see quant.go). KernelAuto
+	// (the zero value) picks the default — the quantized int16
+	// coarse-to-fine kernel; KernelFloat64 pins the exhaustive float64
+	// oracle, which agrees bit for bit with the serial reference. Golden
+	// artifacts should pin the kernel they were recorded with so
+	// kernel-default changes cannot drift them.
 	Kernel Kernel
-	// WarmRadius is the per-axis half-width, in dense grid cells, of the
-	// warm-start scan window (see warm.go). 0 picks DefaultWarmRadius.
-	WarmRadius int
-	// WarmMargin scales the FallbackCorr threshold into the warm-start
-	// acceptance margin: a warm local winner below
-	// WarmMargin × FallbackCorr falls back to the full search. 0 picks
-	// DefaultWarmMargin; negative relaxes the margin to bare positivity.
-	WarmMargin float64
 }
 
 // DefaultFallbackCorr is the default reliability threshold. Joint Eq. 5
@@ -148,13 +136,14 @@ type Estimator struct {
 }
 
 // gatherScratch holds the pooled measurement-vector buffers of one
-// estimate. The float kernel fills ids/snr/rssi (linear amplitudes);
-// the quantized kernel fills ids/snrDB/rssiDB (raw dB) and then the
-// code vectors and hoisted moments of qv (see quant.go).
+// estimate: the gathered sectors with their dictionary columns, the
+// readings in dB and as linear amplitudes, and — on the quantized
+// kernel — the code vectors and hoisted moments of qv (see quant.go).
 type gatherScratch struct {
 	ids           []sector.ID
-	snr, rssi     []float64
+	cols          []int16 // dictionary column per component; < 0 = absent sector
 	snrDB, rssiDB []float64
+	snr, rssi     []float64
 	qv            quantVec
 }
 
@@ -183,9 +172,9 @@ func (e *Estimator) Patterns() *pattern.Set { return e.patterns }
 
 // Kernel reports the correlation kernel actually serving estimates —
 // which can differ from Options.Kernel when the quantized build was
-// skipped (ExactSearch, or a dictionary with no finite entry).
+// skipped on a dictionary with no finite entry.
 func (e *Estimator) Kernel() Kernel {
-	if e.en != nil && e.en.quant() {
+	if e.en.quant() {
 		return KernelQuantInt16
 	}
 	return KernelFloat64
@@ -203,7 +192,7 @@ type AoAEstimate struct {
 	// Cell is the dense grid cell of the argmax, usable as the
 	// warm-start hint of a later estimate (see SelectSectorWarm).
 	// NoCell when the serving kernel does not produce hints (the float64
-	// reference path). Cell is diagnostic state, not part of the wire
+	// oracle). Cell is diagnostic state, not part of the wire
 	// format: it is excluded from JSON serialization.
 	Cell Cell
 }
@@ -215,22 +204,29 @@ type AoAEstimate struct {
 // dominating the normalized inner product.
 func amp(db float64) float64 { return math.Pow(10, db/20) }
 
-// gatherVectors converts probes into linear-amplitude measurement
-// vectors. Unless disabled, probed-but-unreported sectors (including
-// non-finite readings) are imputed slightly below the faintest reported
-// reading: no report means the sector was (almost always) below decode
-// sensitivity, which is information the correlation should use.
-func (e *Estimator) gatherVectors(probes []Probe) (ids []sector.ID, snrLin, rssiLin []float64, reported int) {
-	var g gatherScratch
-	reported = e.gatherInto(&g, probes)
-	return g.ids, g.snr, g.rssi, reported
-}
-
-// gatherInto is gatherVectors into pooled scratch, appending into g's
-// recycled buffers so the steady-state estimate path allocates nothing.
-func (e *Estimator) gatherInto(g *gatherScratch, probes []Probe) (reported int) {
+// gather validates the probe vector and collects its measurement
+// vectors into g, the one gather of every estimate path: sector IDs with
+// their dictionary columns, readings in dB (the quantized kernel's
+// input) and as linear amplitudes (the float64 dictionary's). Unless
+// disabled, probed-but-unreported sectors (including non-finite
+// readings) are imputed slightly below the faintest reported reading: no
+// report means the sector was (almost always) below decode sensitivity,
+// which is information the correlation should use. Probes for sectors
+// absent from the pattern set are gathered with column -1 and skipped
+// by every correlation. It fails with ErrDuplicateProbe when two probes
+// name the same sector and with ErrTooFewProbes when fewer than two
+// report.
+//
+//talon:noalloc
+func (e *Estimator) gather(g *gatherScratch, probes []Probe) (reported int, err error) {
+	var seen [4]uint64 // one bit per sector.ID
 	minSNR, minRSSI := math.Inf(1), math.Inf(1)
 	for _, p := range probes {
+		w, bit := &seen[p.Sector>>6], uint64(1)<<(p.Sector&63)
+		if *w&bit != 0 {
+			return 0, errDuplicateProbe
+		}
+		*w |= bit
 		if !p.reported() {
 			continue
 		}
@@ -242,21 +238,30 @@ func (e *Estimator) gatherInto(g *gatherScratch, probes []Probe) (reported int) 
 			minRSSI = p.Meas.RSSI
 		}
 	}
-	g.ids, g.snr, g.rssi = g.ids[:0], g.snr[:0], g.rssi[:0]
-	impute := !e.opts.NoImputeMissing && reported > 0
-	for _, p := range probes {
-		switch {
-		case p.reported():
-			g.ids = append(g.ids, p.Sector)
-			g.snr = append(g.snr, amp(p.Meas.SNR))
-			g.rssi = append(g.rssi, amp(p.Meas.RSSI))
-		case impute:
-			g.ids = append(g.ids, p.Sector)
-			g.snr = append(g.snr, amp(minSNR-1))
-			g.rssi = append(g.rssi, amp(minRSSI-1))
-		}
+	if reported < 2 {
+		//lint:allow noalloc -- cold error path; the steady state returns before formatting
+		return reported, fmt.Errorf("core: %w: need at least 2 reported probes, have %d", ErrTooFewProbes, reported)
 	}
-	return reported
+	g.ids, g.cols = g.ids[:0], g.cols[:0]
+	g.snrDB, g.rssiDB = g.snrDB[:0], g.rssiDB[:0]
+	g.snr, g.rssi = g.snr[:0], g.rssi[:0]
+	impute := !e.opts.NoImputeMissing
+	for _, p := range probes {
+		snr, rssi := p.Meas.SNR, p.Meas.RSSI
+		if !p.reported() {
+			if !impute {
+				continue
+			}
+			snr, rssi = minSNR-1, minRSSI-1
+		}
+		g.ids = append(g.ids, p.Sector)
+		g.cols = append(g.cols, e.en.cols[p.Sector])
+		g.snrDB = append(g.snrDB, snr)
+		g.rssiDB = append(g.rssiDB, rssi)
+		g.snr = append(g.snr, ampCached(snr))
+		g.rssi = append(g.rssi, ampCached(rssi))
+	}
+	return reported, nil
 }
 
 // correlate implements Eq. 2: the squared normalized correlation of the
@@ -313,96 +318,103 @@ func (e *Estimator) correlate(ids []sector.ID, lin []float64, pt pattern.Point) 
 
 // Correlation evaluates the (joint) correlation of probes at one
 // direction: Eq. 2 on SNR, multiplied by the RSSI correlation per Eq. 5
-// unless SNROnly is set.
+// unless SNROnly is set. It is 0 for probe vectors EstimateAoA rejects.
 func (e *Estimator) Correlation(probes []Probe, az, el float64) float64 {
-	ids, snrLin, rssiLin, _ := e.gatherVectors(probes)
+	var g gatherScratch
+	if _, err := e.gather(&g, probes); err != nil {
+		return 0
+	}
 	pt := e.tx.Locate(az, el)
-	w := e.correlate(ids, snrLin, pt)
+	w := e.correlate(g.ids, g.snr, pt)
 	if e.opts.SNROnly {
 		return w
 	}
-	return w * e.correlate(ids, rssiLin, pt)
+	return w * e.correlate(g.ids, g.rssi, pt)
 }
 
 // EstimateAoA maximizes the correlation over the pattern grid (Eq. 3),
 // optionally refining the maximum between grid points. The search runs
-// on the precomputed correlation engine: hierarchically (coarse pass,
-// top-K dense refinement, exhaustive fallback — see hier.go) unless
-// Options.ExactSearch pins it to the exhaustive dense scan, which agrees
-// bit for bit with the retained EstimateAoASerial reference. ctx is
-// observed between grid rows, and a cancelled search returns ctx.Err().
+// on the precomputed correlation engine: the quantized coarse-to-fine
+// kernel by default (see quant.go), or the exhaustive float64 oracle
+// under KernelFloat64, which agrees bit for bit with the retained
+// EstimateAoASerial reference. ctx is observed between grid rows, and a
+// cancelled search returns ctx.Err().
 func (e *Estimator) EstimateAoA(ctx context.Context, probes []Probe) (AoAEstimate, error) {
-	return e.estimate(ctx, probes, 0)
+	return e.estimate(ctx, probes, NoCell)
 }
 
-// estimate is the engine-backed estimate shared by EstimateAoA and the
-// batch path; maxShards > 0 additionally caps the dense fill's worker
-// count (the batch path passes 1 so its own workers are the only
-// parallelism).
-func (e *Estimator) estimate(ctx context.Context, probes []Probe, maxShards int) (AoAEstimate, error) {
+// estimate is the engine-backed estimate behind EstimateAoA,
+// SelectSector and SelectSectorWarm. The hint only reaches the quantized
+// kernel; the float64 oracle ignores it.
+func (e *Estimator) estimate(ctx context.Context, probes []Probe, hint Cell) (AoAEstimate, error) {
 	metEstimates.Inc()
-	start := time.Now() //lint:allow determinism -- estimate-latency histogram reads the wall clock by design
-	defer metEstimateSeconds.ObserveSince(start)
 	metScratchGets.Inc()
 	g := e.gathers.Get().(*gatherScratch)
 	defer e.gathers.Put(g)
-	if e.en != nil && e.en.quant() {
-		return e.estimateQuantHint(ctx, g, probes, NoCell)
-	}
-	reported := e.gatherInto(g, probes)
-	if reported < 2 {
-		return AoAEstimate{}, fmt.Errorf("core: %w: need at least 2 reported probes, have %d", ErrTooFewProbes, reported)
-	}
-	en := e.en
-	if en == nil {
-		return AoAEstimate{}, errors.New("core: empty pattern set")
-	}
-	colBuf := en.probeCols(g.ids)
-	defer en.putCols(colBuf)
-	cols := *colBuf
-	snrOnly := e.opts.SNROnly
-	if en.hier() {
-		metHierEstimates.Inc()
-		bestA, bestE, bestW, ok, err := en.searchHier(ctx, cols, g.snr, g.rssi, snrOnly)
-		if err != nil {
-			return AoAEstimate{}, err
-		}
-		if ok {
-			az, el := en.az[bestA], en.el[bestE]
-			if !e.opts.NoRefine {
-				numAz := len(en.az)
-				az = refineAxis(en.az, bestA, func(i int) float64 {
-					return jointIn(en.dict, (bestE*numAz+i)*en.stride, cols, g.snr, g.rssi, snrOnly)
-				})
-				el = refineAxis(en.el, bestE, func(i int) float64 {
-					return jointIn(en.dict, (i*numAz+bestA)*en.stride, cols, g.snr, g.rssi, snrOnly)
-				})
-			}
-			return AoAEstimate{Az: az, El: el, Corr: bestW, Used: reported}, nil
-		}
-		// No positive coarse cell: fall back to the exhaustive scan so
-		// hierarchical mode keeps the exact path's disaster-guard
-		// semantics on degenerate surfaces.
-		metHierFallbacks.Inc()
-	}
-	surf := en.getSurface()
-	defer en.putSurface(surf)
-	w := *surf
-	if err := en.fill(ctx, w, cols, g.snr, g.rssi, snrOnly, maxShards); err != nil {
+	reported, err := e.gather(g, probes)
+	if err != nil {
 		return AoAEstimate{}, err
 	}
-	bestA, bestE, bestW := en.argmax(w)
+	var bestA, bestE int
+	var bestW float64
+	if e.en.quant() {
+		bestA, bestE, bestW, err = e.searchHinted(ctx, g, hint)
+	} else {
+		bestA, bestE, bestW, err = e.en.denseArgmax(ctx, g.cols, g.snr, g.rssi, e.opts.SNROnly)
+	}
+	if err != nil {
+		return AoAEstimate{}, err
+	}
 	if bestW <= 0 {
 		metDegenerate.Inc()
-		return AoAEstimate{}, fmt.Errorf("core: %w", ErrDegenerateSurface)
+		return AoAEstimate{}, errDegenerate
 	}
+	return e.epilogue(g, bestA, bestE, reported), nil
+}
+
+// epilogue turns a search's argmax cell into the final estimate using
+// the float64 dictionary: one Eq. 5 evaluation at the winning cell plus
+// the parabolic refinement around it, O(M) work against the O(grid·M)
+// sweep that found the cell. On the oracle this re-derives exactly the
+// scores the scan saw. On the quantized kernel it confines quantization
+// noise to the argmax decision itself — whenever the two kernels agree
+// on the cell (the common case the equivalence suite gates), the
+// reported Az/El/Corr are bit-identical to KernelFloat64, and downstream
+// near-tie decisions (Eq. 4 sector choice, the FallbackCorr threshold)
+// cannot flip on epsilon score differences. Only the quantized kernel
+// reports the cell as a warm-start hint.
+//
+//talon:noalloc
+func (e *Estimator) epilogue(g *gatherScratch, bestA, bestE int, reported int) AoAEstimate {
+	en := e.en
+	snrOnly := e.opts.SNROnly
+	cols, snr, rssi := g.cols, g.snr, g.rssi
 	numAz := len(en.az)
-	az, el := en.az[bestA], en.el[bestE]
-	if !e.opts.NoRefine {
-		az = refineAxis(en.az, bestA, func(i int) float64 { return w[bestE*numAz+i] })
-		el = refineAxis(en.el, bestE, func(i int) float64 { return w[i*numAz+bestA] })
+	w := jointIn(en.dict, (bestE*numAz+bestA)*en.stride, cols, snr, rssi, snrOnly)
+	aoa := AoAEstimate{Az: en.az[bestA], El: en.el[bestE], Corr: w, Used: reported}
+	if en.quant() {
+		aoa.Cell = cellOf(bestA, bestE)
 	}
-	return AoAEstimate{Az: az, El: el, Corr: bestW, Used: reported}, nil
+	if !e.opts.NoRefine {
+		// The closures serve the already-computed centre value instead of
+		// re-deriving it; jointIn is deterministic, so this is only a
+		// recomputation skip.
+		//lint:allow noalloc -- closure captures only stack values; escape analysis keeps it off the heap (see TestEstimateZeroAllocSteadyState)
+		aoa.Az = refineAxis(en.az, bestA, func(i int) float64 {
+			if i == bestA {
+				return w
+			}
+			return jointIn(en.dict, (bestE*numAz+i)*en.stride, cols, snr, rssi, snrOnly)
+		})
+		//lint:allow noalloc -- closure captures only stack values; escape analysis keeps it off the heap (see TestEstimateZeroAllocSteadyState)
+		aoa.El = refineAxis(en.el, bestE, func(i int) float64 {
+			if i == bestE {
+				return w
+			}
+			return jointIn(en.dict, (i*numAz+bestA)*en.stride, cols, snr, rssi, snrOnly)
+		})
+	}
+	return aoa
 }
 
 // EstimateAoASerial is the straight-line reference implementation of the
@@ -412,10 +424,12 @@ func (e *Estimator) estimate(ctx context.Context, probes []Probe, maxShards int)
 // optimized path against first principles.
 func (e *Estimator) EstimateAoASerial(probes []Probe) (AoAEstimate, error) {
 	metEstimatesSerial.Inc()
-	ids, snrLin, rssiLin, reported := e.gatherVectors(probes)
-	if reported < 2 {
-		return AoAEstimate{}, fmt.Errorf("core: %w: need at least 2 reported probes, have %d", ErrTooFewProbes, reported)
+	var g gatherScratch
+	reported, err := e.gather(&g, probes)
+	if err != nil {
+		return AoAEstimate{}, err
 	}
+	ids, snrLin, rssiLin := g.ids, g.snr, g.rssi
 	grid := e.patterns.Grid()
 	azAxis, elAxis := grid.Az(), grid.El()
 
@@ -438,7 +452,7 @@ func (e *Estimator) EstimateAoASerial(probes []Probe) (AoAEstimate, error) {
 		w[ei] = row
 	}
 	if bestW <= 0 {
-		return AoAEstimate{}, fmt.Errorf("core: %w", ErrDegenerateSurface)
+		return AoAEstimate{}, errDegenerate
 	}
 
 	az, el := azAxis[bestA], elAxis[bestE]
@@ -521,20 +535,11 @@ const (
 // from the probes and choose the best of all N sectors toward it (Eq. 4).
 // When the correlation maximum is too weak to be trusted — or no estimate
 // is possible at all — the selection falls back to the classic argmax
-// over the probed sectors. A cancelled context propagates ctx.Err()
-// instead of degrading to the sweep fallback.
+// over the probed sectors. A cancelled context propagates ctx.Err(),
+// and a malformed vector ErrDuplicateProbe, instead of degrading to the
+// sweep fallback.
 func (e *Estimator) SelectSector(ctx context.Context, probes []Probe) (Selection, error) {
-	return e.selectShards(ctx, probes, 0)
-}
-
-// selectShards is SelectSector with the batch path's engine-shard cap.
-func (e *Estimator) selectShards(ctx context.Context, probes []Probe, maxShards int) (Selection, error) {
-	metSelectEngine.Inc()
-	aoa, err := e.estimate(ctx, probes, maxShards)
-	if err != nil && isCtxErr(err) {
-		return Selection{}, err
-	}
-	return e.finishSelection(probes, aoa, err)
+	return e.SelectSectorWarm(ctx, probes, NoCell)
 }
 
 // SelectSectorSerial runs the pipeline on the serial reference estimator;
@@ -547,10 +552,14 @@ func (e *Estimator) SelectSectorSerial(probes []Probe) (Selection, error) {
 
 // finishSelection turns an estimate into a selection: the sweep
 // fallback when the estimate failed or is too weak, else Eq. 4 — one
-// TX-lookup scan toward the estimated angle.
+// TX-lookup scan toward the estimated angle. A malformed probe vector
+// is an error, not a fallback.
 //
 //talon:noalloc
 func (e *Estimator) finishSelection(probes []Probe, aoa AoAEstimate, err error) (Selection, error) {
+	if err != nil && errors.Is(err, ErrDuplicateProbe) {
+		return Selection{}, err
+	}
 	if err != nil || aoa.Corr < e.opts.fallbackCorr() {
 		id, ok := SweepSelect(probes)
 		if !ok {

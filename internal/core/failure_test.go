@@ -261,3 +261,144 @@ func TestNonFiniteReadingsAreUnreported(t *testing.T) {
 		t.Fatal("SweepSelect accepted a +Inf reading")
 	}
 }
+
+// TestProbeVectorContract pins the rest of the probe contract at the
+// boundary, on both kernels:
+//
+//   - A vector that names a sector twice is malformed: EstimateAoA,
+//     SelectSector, SelectSectorWarm, each SelectSectorBatch item and the
+//     serial reference fail with ErrDuplicateProbe instead of selecting
+//     through the sweep fallback, whether or not the repeated probe
+//     reported.
+//   - Probes for sectors absent from the pattern set are skipped by the
+//     correlation: appending loud ones leaves the selection and angle bit
+//     for bit unchanged (Used still counts them), and a vector of only
+//     such probes has a degenerate surface.
+//   - At most 64 components enter the correlation: on a set of 80
+//     sectors, an 80-probe vector whose last 16 readings point elsewhere
+//     (below the loudest of the first 64, so the quantized kernel's
+//     window shift is unchanged) estimates exactly like its first 64
+//     probes.
+func TestProbeVectorContract(t *testing.T) {
+	set, gain := synthSetup(t)
+	tx := sector.TalonTX()
+	clean := observe(t, gain, tx[:20], -25, 9, quietModel(), stats.NewRNG(61))
+	ctx := context.Background()
+	kernels := []struct {
+		name string
+		opts Options
+	}{
+		{"quant", Options{}},
+		{"float", Options{Kernel: KernelFloat64}},
+	}
+	for _, kc := range kernels {
+		est, err := NewEstimator(set, kc.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cleanSel, err := est.SelectSector(ctx, clean)
+		if err != nil || cleanSel.Fallback {
+			t.Fatalf("%s: clean vector: %+v, %v", kc.name, cleanSel, err)
+		}
+		entries := []struct {
+			name string
+			run  func([]Probe) (Selection, error)
+		}{
+			{"EstimateAoA", func(p []Probe) (Selection, error) {
+				aoa, err := est.EstimateAoA(ctx, p)
+				return Selection{AoA: aoa}, err
+			}},
+			{"SelectSector", func(p []Probe) (Selection, error) { return est.SelectSector(ctx, p) }},
+			{"SelectSectorWarm", func(p []Probe) (Selection, error) { return est.SelectSectorWarm(ctx, p, cleanSel.AoA.Cell) }},
+			{"SelectSectorBatch", func(p []Probe) (Selection, error) {
+				res, err := est.SelectSectorBatch(ctx, BatchOf([][]Probe{clean, p}), 1)
+				if err != nil {
+					return Selection{}, err
+				}
+				if res[0].Err != nil || !sameSelectionBits(res[0].Selection, cleanSel) {
+					t.Fatalf("%s: a malformed item disturbed its neighbour: %+v", kc.name, res[0])
+				}
+				return res[1].Selection, res[1].Err
+			}},
+			{"SelectSectorSerial", func(p []Probe) (Selection, error) { return est.SelectSectorSerial(p) }},
+		}
+
+		reported := append(append([]Probe(nil), clean...), clean[7])
+		silent := append(append([]Probe(nil), clean...), Probe{Sector: clean[3].Sector})
+		unknown := append([]Probe(nil), clean...)
+		for id := sector.ID(40); id < 50; id++ {
+			unknown = append(unknown, Probe{Sector: id, Meas: radio.Measurement{SNR: radio.SNRMaxDB, RSSI: -30}, OK: true})
+		}
+		for _, ec := range entries {
+			for _, dup := range [][]Probe{reported, silent} {
+				if sel, err := ec.run(dup); !errors.Is(err, ErrDuplicateProbe) {
+					t.Fatalf("%s/%s: duplicate sector gave %+v, %v; want ErrDuplicateProbe", kc.name, ec.name, sel, err)
+				}
+			}
+			want, err := ec.run(clean)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := ec.run(unknown)
+			if err != nil {
+				t.Fatalf("%s/%s: unknown sectors: %v", kc.name, ec.name, err)
+			}
+			if got.AoA.Used != want.AoA.Used+10 {
+				t.Fatalf("%s/%s: Used = %d, want %d", kc.name, ec.name, got.AoA.Used, want.AoA.Used+10)
+			}
+			got.AoA.Used = want.AoA.Used
+			if !sameSelectionBits(got, want) {
+				t.Fatalf("%s/%s: unknown sectors moved the selection: %+v, want %+v", kc.name, ec.name, got, want)
+			}
+		}
+		if _, err := est.EstimateAoA(ctx, unknown[len(clean):]); !errors.Is(err, ErrDegenerateSurface) {
+			t.Fatalf("%s: all-unknown vector gave %v, want ErrDegenerateSurface", kc.name, err)
+		}
+	}
+
+	// 80 sectors with distinct beams on a small grid.
+	grid, err := geom.UniformGrid(-60, 60, 4, 0, 12, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wide := pattern.NewSet()
+	beam := func(id sector.ID, az, el float64) float64 {
+		c := -78 + 156*float64(id-1)/79
+		return 12 - (az-c)*(az-c)/90 - el*float64(id%5)/6
+	}
+	for id := sector.ID(1); id <= 80; id++ {
+		p := pattern.FromFunc(grid, func(az, el float64) float64 { return beam(id, az, el) })
+		if err := wide.Put(id, p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	probes := make([]Probe, 0, 80)
+	for id := sector.ID(1); id <= 80; id++ {
+		g := beam(id, 17, 5)
+		if id > 64 {
+			g = beam(id, 60, 5) - 2
+		}
+		probes = append(probes, Probe{Sector: id, Meas: radio.Measurement{SNR: g, RSSI: g - 60}, OK: true})
+	}
+	for _, kc := range kernels {
+		est, err := NewEstimator(wide, kc.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		all, err := est.SelectSector(ctx, probes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		first, err := est.SelectSector(ctx, probes[:64])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if all.Fallback || all.AoA.Used != 80 || first.AoA.Used != 64 {
+			t.Fatalf("%s: 80-probe selection %+v, 64-probe %+v", kc.name, all, first)
+		}
+		all.AoA.Used = 64
+		if !sameSelectionBits(all, first) {
+			t.Fatalf("%s: components past the 64th changed the selection: %+v, want %+v", kc.name, all, first)
+		}
+	}
+}

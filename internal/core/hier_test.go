@@ -11,6 +11,7 @@ import (
 	"talon/internal/dot11ad"
 	"talon/internal/fault"
 	"talon/internal/geom"
+	"talon/internal/pattern"
 	"talon/internal/radio"
 	"talon/internal/sector"
 	"talon/internal/stats"
@@ -18,105 +19,38 @@ import (
 	"talon/internal/wil"
 )
 
-// coarseDiag is the diagonal of one coarse cell of est's hierarchical
-// search, in degrees — the equivalence bound of the ISSUE's acceptance
-// criteria.
-func coarseDiag(t testing.TB, est *Estimator) float64 {
-	t.Helper()
-	en := est.en
-	if !en.hier() {
-		t.Fatal("estimator has no hierarchical search built")
-	}
-	azStep := en.az[1] - en.az[0]
-	elStep := 0.0
-	if len(en.el) > 1 {
-		elStep = en.el[1] - en.el[0]
-	}
-	return math.Hypot(float64(DefaultCoarseDecim)*azStep, float64(DefaultCoarseDecim)*elStep)
-}
+// The coarse-to-fine search of the quantized kernel (quant.go) gated
+// against the exhaustive quantized scan (denseArgmaxQ) on the same int16
+// arithmetic, so any divergence is the pruning alone; quant_equiv_test.go
+// gates the whole kernel against the float64 oracle.
 
-// equivCounter tallies one hierarchical-vs-exhaustive comparison.
-type equivCounter struct {
-	trials, mismatches int
-}
-
-// compare checks one probe vector on both estimators: error classes must
-// agree exactly (the hierarchical path falls back to the exhaustive scan
-// before it can fail differently); on success the selected sector must
-// match and the AoA estimates must stay within diag degrees.
-func (c *equivCounter) compare(t *testing.T, label string, hier, exact *Estimator, probes []Probe, diag float64) {
+// denseTwin builds a quantized estimator over set with its coarse grid
+// dropped, so every estimate runs the exhaustive quantized scan: the
+// reference the hierarchy is gated against.
+func denseTwin(t *testing.T, set *pattern.Set) *Estimator {
 	t.Helper()
-	ctx := context.Background()
-	hSel, hErr := hier.SelectSector(ctx, probes)
-	xSel, xErr := exact.SelectSector(ctx, probes)
-	if (hErr == nil) != (xErr == nil) {
-		t.Fatalf("%s: error parity broken: hier %v, exact %v", label, hErr, xErr)
+	est, err := NewEstimator(set, Options{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if hErr != nil {
-		for _, sentinel := range []error{ErrTooFewProbes, ErrDegenerateSurface} {
-			if errors.Is(hErr, sentinel) != errors.Is(xErr, sentinel) {
-				t.Fatalf("%s: sentinel parity broken: hier %v, exact %v", label, hErr, xErr)
-			}
-		}
-		return
-	}
-	c.trials++
-	if hSel.Sector != xSel.Sector {
-		c.mismatches++
-		return
-	}
-	if !hSel.Fallback && !xSel.Fallback {
-		dAz := math.Abs(geom.WrapAz(hSel.AoA.Az - xSel.AoA.Az))
-		dEl := math.Abs(hSel.AoA.El - xSel.AoA.El)
-		if math.Hypot(dAz, dEl) > diag {
-			c.mismatches++
-		}
-	}
-}
-
-// assertRate enforces the acceptance criterion: the hierarchical search
-// must agree with the exhaustive one on at least 99% of the trials.
-func (c *equivCounter) assertRate(t *testing.T, minTrials int) {
-	t.Helper()
-	if c.trials < minTrials {
-		t.Fatalf("only %d successful equivalence trials, want >= %d", c.trials, minTrials)
-	}
-	budget := c.trials / 100
-	if c.mismatches > budget {
-		t.Fatalf("hierarchical search diverged on %d of %d trials (budget %d)",
-			c.mismatches, c.trials, budget)
-	}
-	t.Logf("hier-vs-exact: %d trials, %d divergences", c.trials, c.mismatches)
+	est.en.coarseQ, est.en.cAzIdx, est.en.cElIdx = nil, nil, nil
+	return est
 }
 
 // TestHierMatchesExhaustiveClean runs the seeded clean-channel
 // equivalence suite: across probe budgets and noisy observations from
 // the default firmware defect model, the hierarchical search must select
-// the exhaustive search's sector and land within one coarse-cell
-// diagonal of its angle estimate.
+// the exhaustive scan's sector and land within one coarse-cell diagonal
+// of its angle estimate. It drives denseArgmaxQ on every trial.
 func TestHierMatchesExhaustiveClean(t *testing.T) {
 	set, gain := synthSetup(t)
-	// The whole hier suite pins KernelFloat64: it isolates the
-	// hierarchical search against the exhaustive scan on the same
-	// (float) arithmetic. The quantized kernel has its own equivalence
-	// suite in quant_equiv_test.go.
-	hier, err := NewEstimator(set, Options{Kernel: KernelFloat64})
+	hier, err := NewEstimator(set, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	exact, err := NewEstimator(set, Options{ExactSearch: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !hier.en.hier() {
-		t.Fatal("default options did not build the hierarchical search")
-	}
-	if exact.en.hier() {
-		t.Fatal("ExactSearch built a coarse dictionary")
-	}
+	exact := denseTwin(t, set)
 	diag := coarseDiag(t, hier)
 
-	hierBefore := metHierEstimates.Value()
 	model := radio.DefaultMeasurementModel()
 	rng := stats.NewRNG(23)
 	available := sector.TalonTX()
@@ -134,9 +68,6 @@ func TestHierMatchesExhaustiveClean(t *testing.T) {
 		}
 	}
 	c.assertRate(t, 100)
-	if metHierEstimates.Value() == hierBefore {
-		t.Fatal("no estimate was routed through the hierarchical search")
-	}
 }
 
 // TestHierMatchesExhaustiveFaultyChannel repeats the equivalence suite
@@ -178,14 +109,11 @@ func TestHierMatchesExhaustiveFaultyChannel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hier, err := NewEstimator(patterns, Options{Kernel: KernelFloat64})
+	hier, err := NewEstimator(patterns, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	exact, err := NewEstimator(patterns, Options{ExactSearch: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	exact := denseTwin(t, patterns)
 	diag := coarseDiag(t, hier)
 
 	dutPose, probePose := testbed.FacingPoses(3, 1.2)
@@ -227,23 +155,20 @@ func TestHierMatchesExhaustiveFaultyChannel(t *testing.T) {
 // two reported probes the Pearson correlation is zero at every grid
 // point, the coarse pass keeps no candidate, and the hierarchical path
 // must degrade to the exhaustive scan and fail with the same
-// ErrDegenerateSurface sentinel as exact mode.
+// ErrDegenerateSurface sentinel as the scan itself.
 func TestHierDegenerateSurface(t *testing.T) {
 	set, _ := synthSetup(t)
-	hier, err := NewEstimator(set, Options{Kernel: KernelFloat64})
+	hier, err := NewEstimator(set, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	exact, err := NewEstimator(set, Options{ExactSearch: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	exact := denseTwin(t, set)
 	ids := sector.TalonTX()
 	probes := []Probe{
 		{Sector: ids[0], Meas: radio.Measurement{SNR: 7, RSSI: -55}, OK: true},
 		{Sector: ids[5], Meas: radio.Measurement{SNR: 9, RSSI: -52}, OK: true},
 	}
-	fallbacksBefore := metHierFallbacks.Value()
+	fallbacksBefore := metQuantFallbacks.Value()
 	_, hErr := hier.EstimateAoA(context.Background(), probes)
 	_, xErr := exact.EstimateAoA(context.Background(), probes)
 	if !errors.Is(hErr, ErrDegenerateSurface) {
@@ -252,7 +177,7 @@ func TestHierDegenerateSurface(t *testing.T) {
 	if !errors.Is(xErr, ErrDegenerateSurface) {
 		t.Fatalf("exact: want ErrDegenerateSurface, got %v", xErr)
 	}
-	if metHierFallbacks.Value() == fallbacksBefore {
+	if metQuantFallbacks.Value() != fallbacksBefore+1 {
 		t.Fatal("degenerate surface did not route through the exhaustive fallback")
 	}
 }
@@ -264,14 +189,11 @@ func TestHierDegenerateSurface(t *testing.T) {
 // smallest estimable vector — must produce the same selection.
 func TestHierMinimumProbes(t *testing.T) {
 	set, gain := synthSetup(t)
-	hier, err := NewEstimator(set, Options{Kernel: KernelFloat64})
+	hier, err := NewEstimator(set, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	exact, err := NewEstimator(set, Options{ExactSearch: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	exact := denseTwin(t, set)
 	diag := coarseDiag(t, hier)
 	rng := stats.NewRNG(31)
 	model := quietModel()
@@ -308,37 +230,5 @@ func TestHierMinimumProbes(t *testing.T) {
 	}
 	if c.mismatches > 0 {
 		t.Fatalf("three-probe selections diverged on %d of %d trials", c.mismatches, c.trials)
-	}
-}
-
-// TestCoarseDecimOptions pins the option plumbing: decimation below two
-// disables the hierarchy, and a custom decimation/top-K pair builds a
-// correspondingly sized coarse grid.
-func TestCoarseDecimOptions(t *testing.T) {
-	set, _ := synthSetup(t)
-	off, err := NewEstimator(set, Options{CoarseDecim: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if off.en.hier() {
-		t.Fatal("CoarseDecim=1 still built the hierarchy")
-	}
-	custom, err := NewEstimator(set, Options{CoarseDecim: 8, TopK: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !custom.en.hier() {
-		t.Fatal("CoarseDecim=8 did not build the hierarchy")
-	}
-	if custom.en.topK != 2 {
-		t.Fatalf("topK = %d, want 2", custom.en.topK)
-	}
-	numAz := len(custom.en.az)
-	wantCAz := (numAz-1)/8 + 1
-	if last := custom.en.cAzIdx[len(custom.en.cAzIdx)-1]; int(last) != numAz-1 {
-		t.Fatalf("coarse az grid does not include the last dense index: %d != %d", last, numAz-1)
-	}
-	if got := len(custom.en.cAzIdx); got < wantCAz {
-		t.Fatalf("coarse az samples = %d, want >= %d", got, wantCAz)
 	}
 }

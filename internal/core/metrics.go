@@ -4,21 +4,17 @@ import "talon/internal/obs"
 
 // Process-wide metrics of the estimation pipeline (see README,
 // "Observability"). All updates are single atomic operations; the
-// per-estimate overhead is two counter increments and one histogram
-// observation, far below the grid search itself.
+// per-estimate overhead is a few counter increments, far below the grid
+// search itself.
 var (
 	metEstimates = obs.NewCounter("core_estimates_total",
 		"angle-of-arrival estimates run on the correlation engine")
-	metEstimateSeconds = obs.NewHistogram("core_estimate_seconds",
-		"wall time of one engine-backed grid search", nil)
 	metEstimatesSerial = obs.NewCounter("core_estimates_serial_total",
 		"estimates run on the serial reference path")
 	metDictBuildSeconds = obs.NewHistogram("core_dict_build_seconds",
 		"correlation-dictionary precomputation time per estimator", nil)
-	metRowsSharded = obs.NewCounter("core_rows_sharded_total",
-		"correlation-surface rows filled by the sharded worker pool")
 	metScratchGets = obs.NewCounter("core_scratch_gets_total",
-		"scratch-pool fetches (surfaces and probe-column buffers)")
+		"scratch-pool fetches (gather, top-K and batch scratch)")
 	metScratchMisses = obs.NewCounter("core_scratch_misses_total",
 		"scratch-pool misses that allocated fresh scratch")
 	metSelectEngine = obs.NewCounter("core_select_engine_total",
@@ -29,18 +25,6 @@ var (
 		"selections that fell back to the probed-sector argmax")
 	metDegenerate = obs.NewCounter("core_surface_degenerate_total",
 		"estimates aborted on a degenerate correlation surface")
-	metHierEstimates = obs.NewCounter("core_hier_estimates_total",
-		"estimates routed through the hierarchical coarse-to-fine search")
-	metHierFallbacks = obs.NewCounter("core_hier_fallbacks_total",
-		"hierarchical estimates that fell back to the exhaustive dense scan")
-	metHierCoarseSeconds = obs.NewHistogram("core_hier_coarse_seconds",
-		"wall time of the hierarchical coarse pass", nil)
-	metHierRefineSeconds = obs.NewHistogram("core_hier_refine_seconds",
-		"wall time of the hierarchical dense refinement", nil)
-	metHierCellsRefined = obs.NewCounter("core_hier_cells_refined_total",
-		"coarse candidate cells refined on the dense grid")
-	metHierPruningRatio = obs.NewFloatGauge("core_hier_pruning_ratio",
-		"fraction of dense grid points the most recent hierarchical estimate skipped")
 	metBatches = obs.NewCounter("core_batches_total",
 		"SelectSectorBatch calls")
 	metBatchEstimates = obs.NewCounter("core_batch_estimates_total",

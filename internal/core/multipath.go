@@ -6,7 +6,6 @@ import (
 	"math"
 
 	"talon/internal/geom"
-	"talon/internal/pattern"
 	"talon/internal/sector"
 )
 
@@ -27,28 +26,22 @@ func (e *Estimator) EstimateMultipath(ctx context.Context, probes []Probe, k int
 	if relThresh <= 0 || relThresh >= 1 {
 		relThresh = 0.35
 	}
-	ids, snrLin, rssiLin, reported := e.gatherVectors(probes)
-	if reported < 2 {
-		return nil, fmt.Errorf("core: %w: need at least 2 reported probes, have %d", ErrTooFewProbes, reported)
+	var g gatherScratch
+	reported, err := e.gather(&g, probes)
+	if err != nil {
+		return nil, err
 	}
-	grid := e.patterns.Grid()
-	azAxis, elAxis := grid.Az(), grid.El()
 	// The engine dictionary replaces per-point pattern lookups inside
 	// the cancellation rounds; the vectors it correlates change per round,
 	// the dictionary does not.
-	var cols []int16
-	if e.en != nil {
-		colBuf := e.en.probeCols(ids)
-		defer e.en.putCols(colBuf)
-		cols = *colBuf
-	}
+	en, ids, cols := e.en, g.ids, g.cols
+	azAxis, elAxis := en.az, en.el
 
 	// Successive interference cancellation: after each detected path the
 	// path's power contribution is subtracted from the measurement
-	// vectors, exposing weaker paths that the dominant one masks in the
-	// raw correlation surface.
-	snr := append([]float64(nil), snrLin...)
-	rssi := append([]float64(nil), rssiLin...)
+	// vectors (the gather's own copies), exposing weaker paths that the
+	// dominant one masks in the raw correlation surface.
+	snr, rssi := g.snr, g.rssi
 	var peaks []AoAEstimate
 	suppressed := make([][]bool, len(elAxis))
 	for i := range suppressed {
@@ -59,25 +52,16 @@ func (e *Estimator) EstimateMultipath(ctx context.Context, probes []Probe, k int
 		bestA, bestE, bestW := -1, -1, 0.0
 		var w [][]float64
 		w = make([][]float64, len(elAxis))
-		for ei, el := range elAxis {
+		for ei := range elAxis {
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
 			row := make([]float64, len(azAxis))
-			for ai, az := range azAxis {
+			for ai := range azAxis {
 				if suppressed[ei][ai] {
 					continue
 				}
-				var v float64
-				if cols != nil {
-					v = jointIn(e.en.dict, (ei*len(azAxis)+ai)*e.en.stride, cols, snr, rssi, e.opts.SNROnly)
-				} else {
-					pt := pattern.Locate(grid, az, el)
-					v = e.correlate(ids, snr, pt)
-					if !e.opts.SNROnly {
-						v *= e.correlate(ids, rssi, pt)
-					}
-				}
+				v := jointIn(en.dict, (ei*len(azAxis)+ai)*en.stride, cols, snr, rssi, e.opts.SNROnly)
 				row[ai] = v
 				if v > bestW {
 					bestA, bestE, bestW = ai, ei, v

@@ -44,11 +44,25 @@ import (
 // reported values at a given cell. The equivalence suite
 // (quant_equiv_test.go) gates the residual argmax noise to ≤1% sector
 // divergence and one coarse-cell diagonal of AoA drift against the
-// float64 kernel.
+// exhaustive float64 oracle.
 //
-// The float64 dictionary always stays resident: it remains the exactness
-// reference (Options.ExactSearch, KernelFloat64), and the multipath /
-// backup searches still run on it.
+// The float64 dictionary always stays resident: it serves the epilogue,
+// the exhaustive oracle (KernelFloat64) and the multipath / backup
+// searches.
+//
+// The search is coarse-to-fine, after the idea Rasekh et al. use to make
+// compressive path tracking tractable (arXiv:1801.06608): a tiled sweep
+// of a decimated coarse grid keeps the top-K positively-correlated
+// cells, and only the dense windows around them are rescanned. The
+// window radius coarseWin = (DefaultCoarseDecim+1)/2 makes the windows
+// of the coarse samples tile the dense grid: consecutive coarse indices
+// are at most DefaultCoarseDecim apart (decimateIndices forces the last
+// index in), so every dense point lies within coarseWin of some coarse
+// sample. When the coarse pass keeps no positive cell at all
+// (degenerate or adversarial surfaces) the search falls back to the
+// exhaustive quantized scan, keeping the oracle's disaster-guard
+// semantics. hier_test.go gates the hierarchy against that exhaustive
+// scan.
 
 // Kernel names a correlation-kernel implementation. The name is part of
 // the compatibility surface: golden artifacts record which kernel
@@ -59,25 +73,30 @@ type Kernel string
 const (
 	// KernelAuto picks the default kernel (currently KernelQuantInt16).
 	KernelAuto Kernel = ""
-	// KernelQuantInt16 is the cache-tiled int16 fixed-point kernel of
-	// this file. Estimates are equivalence-gated — not bit-identical —
-	// against KernelFloat64.
+	// KernelQuantInt16 is the cache-tiled coarse-to-fine int16
+	// fixed-point kernel of this file. Estimates are equivalence-gated —
+	// not bit-identical — against KernelFloat64.
 	KernelQuantInt16 Kernel = "quant-int16-v1"
-	// KernelFloat64 is the exact float64 reference kernel (the engine of
-	// engine.go). Options.ExactSearch implies it.
+	// KernelFloat64 is the exhaustive float64 oracle (engine.denseArgmax):
+	// a single-threaded scan of every grid point that agrees bit for bit
+	// with the serial reference (EstimateAoASerial).
 	KernelFloat64 Kernel = "float64-v1"
 )
 
-// kernel resolves the options to the kernel that will serve estimates.
-// ExactSearch promises bit-for-bit agreement with the serial reference,
-// which only the float64 kernel provides, so it takes precedence over
-// Options.Kernel.
-func (o Options) kernel() Kernel {
-	if o.ExactSearch || o.Kernel == KernelFloat64 {
-		return KernelFloat64
-	}
-	return KernelQuantInt16
-}
+// Defaults of the coarse-to-fine search. DefaultTopK is sized so the
+// seeded hierarchical-vs-exhaustive equivalence suite passes while the
+// refined point count stays a small fraction of the dense grid (on the
+// default 91×9 campaign grid: 72 coarse points + ≤6 windows of ≤5×5
+// points ≈ 1/4 of the 819 dense points).
+const (
+	// DefaultCoarseDecim decimates the coarse grid 4× per axis.
+	DefaultCoarseDecim = 4
+	// DefaultTopK refines the 6 best coarse cells.
+	DefaultTopK = 6
+	// coarseWin is the dense radius, per axis, refined around a coarse
+	// candidate cell.
+	coarseWin = (DefaultCoarseDecim + 1) / 2
+)
 
 // Fixed-point geometry.
 const (
@@ -186,15 +205,16 @@ func quantizeVec(dst []int16, db []float64, cols []int16) []int16 {
 	return dst
 }
 
-// buildQuant quantizes the dense and coarse dictionaries to int16 codes.
-// Called from newEngine after buildCoarse; a no-op unless the options
-// resolve to the quantized kernel. The global scale maps the loudest
-// dictionary amplitude to full scale — Pearson invariance makes the
-// choice free — and the coarse codes are copied from the dense ones the
-// same way buildCoarse copies rows, so a grid point shared by both
-// quantized dictionaries scores bit-identically.
+// buildQuant quantizes the dictionary to int16 codes and builds the
+// coarse grid of the hierarchical search; a no-op when the options pin
+// the float64 oracle. The global scale maps the loudest dictionary
+// amplitude to full scale — Pearson invariance makes the choice free —
+// and the coarse codes are row copies of the dense ones, so a grid point
+// shared by both quantized dictionaries scores bit-identically. The
+// coarse grid is skipped when it would not be smaller than the dense
+// one.
 func (en *engine) buildQuant(opts Options) {
-	if opts.kernel() != KernelQuantInt16 {
+	if opts.Kernel == KernelFloat64 {
 		return
 	}
 	maxAmp := 0.0
@@ -222,16 +242,23 @@ func (en *engine) buildQuant(opts Options) {
 		}
 		en.dictQ[i] = int16(c)
 	}
-	if len(en.coarse) > 0 {
-		numAz := len(en.az)
-		en.coarseQ = make([]int16, len(en.coarse))
+	numAz, numEl := len(en.az), len(en.el)
+	cAz := decimateIndices(numAz, DefaultCoarseDecim)
+	cEl := decimateIndices(numEl, DefaultCoarseDecim)
+	if len(cAz)*len(cEl) < numAz*numEl {
+		en.cAzIdx, en.cElIdx = cAz, cEl
+		en.coarseQ = make([]int16, len(cAz)*len(cEl)*en.stride)
 		pos := 0
-		for _, ei := range en.cElIdx {
-			for _, ai := range en.cAzIdx {
+		for _, ei := range cEl {
+			for _, ai := range cAz {
 				src := (int(ei)*numAz + int(ai)) * en.stride
 				copy(en.coarseQ[pos:pos+en.stride], en.dictQ[src:src+en.stride])
 				pos += en.stride
 			}
+		}
+		en.hierScratch.New = func() any {
+			metScratchMisses.Inc()
+			return newHierScratch()
 		}
 	}
 	en.tilePts = tilePoints(en.stride)
@@ -242,6 +269,66 @@ func (en *engine) buildQuant(opts Options) {
 // quant reports whether the quantized kernel is built and serving
 // estimates.
 func (en *engine) quant() bool { return len(en.dictQ) > 0 }
+
+// decimateIndices returns every decim-th index of [0, n) plus the last
+// index, so consecutive selected indices are at most decim apart and the
+// axis endpoints are always sampled.
+func decimateIndices(n, decim int) []int32 {
+	out := make([]int32, 0, n/decim+2)
+	for i := 0; i < n; i += decim {
+		out = append(out, int32(i))
+	}
+	if last := int32(n - 1); len(out) == 0 || out[len(out)-1] != last {
+		out = append(out, last)
+	}
+	return out
+}
+
+// hierScratch is the pooled per-estimate scratch of the coarse-to-fine
+// search: the top-K candidate list and the per-row interval buffers of
+// the refinement scan. All slices are allocated once at full capacity.
+type hierScratch struct {
+	cells  []int32   // candidate coarse flat indices, descending score
+	scores []float64 // candidate scores, parallel to cells
+	azLo   []int32   // candidate dense windows
+	azHi   []int32
+	elLo   []int32
+	elHi   []int32
+	iv     []ivSpan // az interval merge buffer for one dense row
+}
+
+// ivSpan is one inclusive dense-az interval of the refinement scan.
+type ivSpan struct{ lo, hi int32 }
+
+func newHierScratch() *hierScratch {
+	return &hierScratch{
+		cells:  make([]int32, DefaultTopK),
+		scores: make([]float64, DefaultTopK),
+		azLo:   make([]int32, DefaultTopK),
+		azHi:   make([]int32, DefaultTopK),
+		elLo:   make([]int32, DefaultTopK),
+		elHi:   make([]int32, DefaultTopK),
+		iv:     make([]ivSpan, 0, DefaultTopK),
+	}
+}
+
+func (en *engine) getHierScratch() *hierScratch {
+	metScratchGets.Inc()
+	return en.hierScratch.Get().(*hierScratch)
+}
+
+func (en *engine) putHierScratch(sc *hierScratch) { en.hierScratch.Put(sc) }
+
+// clampIdx clamps i into [0, n).
+func clampIdx(i, n int) int32 {
+	if i < 0 {
+		return 0
+	}
+	if i >= n {
+		return int32(n - 1)
+	}
+	return int32(i)
+}
 
 // correlateQ is the quantized twin of one jointIn factor: Eq. 2 over one
 // dictionary row, computed from single-pass int32 raw moments instead of
@@ -416,9 +503,8 @@ func jointQFast(dictQ []int16, pt int, qv *quantVec, snrOnly bool) float64 {
 
 // coarseTopKQ scores the coarse points [lo, hi) for one probe vector and
 // folds the positive ones into the caller's descending top-K
-// (cells/scores, kept entries), returning the new kept count. The
-// insertion logic is identical to searchHier's coarse pass — ties keep
-// the earlier row-major cell — and because callers sweep tiles in
+// (cells/scores, kept entries), returning the new kept count. Ties keep
+// the earlier row-major cell, and because callers sweep tiles in
 // ascending point order the final top-K matches a straight row-major
 // scan, whatever the tile geometry. This is the kernel the batch-major
 // pass (tile.go) shares across a whole batch per dictionary tile.
@@ -432,10 +518,10 @@ func (en *engine) coarseTopKQ(lo, hi int, qv *quantVec, snrOnly bool, cells []in
 		if v <= 0 {
 			continue
 		}
-		if kept == en.topK && v <= scores[kept-1] {
+		if kept == DefaultTopK && v <= scores[kept-1] {
 			continue
 		}
-		if kept < en.topK {
+		if kept < DefaultTopK {
 			kept++
 		}
 		at := kept - 1
@@ -449,9 +535,9 @@ func (en *engine) coarseTopKQ(lo, hi int, qv *quantVec, snrOnly bool, cells []in
 }
 
 // refineQ rescans the dense windows around the kept coarse candidates on
-// the quantized dictionary — the quantized twin of searchHier's
-// refinement phase, with the identical merged-span strictly-row-major
-// walk so tie-breaks match the float search's order.
+// the quantized dictionary. Overlapping windows are merged per row, so
+// no point is scored twice and the walk stays strictly row-major with
+// the strictly-greater update: tie-breaks match the exhaustive scans.
 //
 //talon:noalloc
 func (en *engine) refineQ(ctx context.Context, sc *hierScratch, kept int, qv *quantVec, snrOnly bool) (bestA, bestE int, bestW float64, err error) {
@@ -460,10 +546,10 @@ func (en *engine) refineQ(ctx context.Context, sc *hierScratch, kept int, qv *qu
 	for k := 0; k < kept; k++ {
 		cell := int(sc.cells[k])
 		ai, ei := int(en.cAzIdx[cell%nCAz]), int(en.cElIdx[cell/nCAz])
-		sc.azLo[k] = clampIdx(ai-en.winAz, numAz)
-		sc.azHi[k] = clampIdx(ai+en.winAz, numAz)
-		sc.elLo[k] = clampIdx(ei-en.winEl, numEl)
-		sc.elHi[k] = clampIdx(ei+en.winEl, numEl)
+		sc.azLo[k] = clampIdx(ai-coarseWin, numAz)
+		sc.azHi[k] = clampIdx(ai+coarseWin, numAz)
+		sc.elLo[k] = clampIdx(ei-coarseWin, numEl)
+		sc.elHi[k] = clampIdx(ei+coarseWin, numEl)
 	}
 	bestA, bestE, bestW = 0, 0, -1.0
 	for ei := 0; ei < numEl; ei++ {
@@ -479,6 +565,7 @@ func (en *engine) refineQ(ctx context.Context, sc *hierScratch, kept int, qv *qu
 		if err := ctx.Err(); err != nil {
 			return 0, 0, 0, err
 		}
+		// Insertion-sort the handful of spans by lower bound.
 		for i := 1; i < len(iv); i++ {
 			for j := i; j > 0 && iv[j].lo < iv[j-1].lo; j-- {
 				iv[j], iv[j-1] = iv[j-1], iv[j]
@@ -508,8 +595,7 @@ func (en *engine) refineQ(ctx context.Context, sc *hierScratch, kept int, qv *qu
 // searchHierQ runs the coarse-to-fine search on the quantized
 // dictionaries: tiled coarse top-K pass, then dense window refinement.
 // ok is false when no coarse cell scored positive and the caller must
-// fall back to the exhaustive quantized scan (denseArgmaxQ), mirroring
-// the float hierarchy's disaster-guard semantics.
+// fall back to the exhaustive quantized scan (denseArgmaxQ).
 //
 //talon:noalloc
 func (en *engine) searchHierQ(ctx context.Context, sc *hierScratch, qv *quantVec, snrOnly bool) (bestA, bestE int, bestW float64, ok bool, err error) {
@@ -537,8 +623,7 @@ func (en *engine) searchHierQ(ctx context.Context, sc *hierScratch, qv *quantVec
 
 // denseArgmaxQ is the exhaustive quantized scan: every dense grid point
 // in row-major order with the strictly-greater update, so tie-breaks
-// match engine.argmax. No surface is materialized — refinement
-// re-evaluates the handful of neighbours it needs.
+// match the float oracle's denseArgmax.
 //
 //talon:noalloc
 func (en *engine) denseArgmaxQ(ctx context.Context, qv *quantVec, snrOnly bool) (bestA, bestE int, bestW float64, err error) {
@@ -562,7 +647,7 @@ func (en *engine) denseArgmaxQ(ctx context.Context, qv *quantVec, snrOnly bool) 
 // searchQuant picks the quantized search for one probe vector:
 // hierarchical when the coarse dictionary exists (with the exhaustive
 // fallback on an all-nonpositive coarse pass), exhaustive otherwise.
-// sc may be nil when the hierarchy is disabled.
+// sc may be nil when the grid is too small for a coarse pass.
 //
 //talon:noalloc
 func (en *engine) searchQuant(ctx context.Context, sc *hierScratch, qv *quantVec, snrOnly bool) (bestA, bestE int, bestW float64, err error) {
@@ -577,53 +662,16 @@ func (en *engine) searchQuant(ctx context.Context, sc *hierScratch, qv *quantVec
 	return en.denseArgmaxQ(ctx, qv, snrOnly)
 }
 
-// gatherQuantInto is gatherInto for the quantized kernel: identical probe
-// selection, imputation and ordering, but keeping the readings in the dB
-// domain — amplitudes come from the ampCodes table at quantization time,
-// so the per-probe math.Pow of the float gather disappears.
-//
-//talon:noalloc
-func (e *Estimator) gatherQuantInto(g *gatherScratch, probes []Probe) (reported int) {
-	minSNR, minRSSI := math.Inf(1), math.Inf(1)
-	for _, p := range probes {
-		if !p.reported() {
-			continue
-		}
-		reported++
-		if p.Meas.SNR < minSNR {
-			minSNR = p.Meas.SNR
-		}
-		if p.Meas.RSSI < minRSSI {
-			minRSSI = p.Meas.RSSI
-		}
-	}
-	g.ids, g.snrDB, g.rssiDB = g.ids[:0], g.snrDB[:0], g.rssiDB[:0]
-	impute := !e.opts.NoImputeMissing && reported > 0
-	for _, p := range probes {
-		switch {
-		case p.reported():
-			g.ids = append(g.ids, p.Sector)
-			g.snrDB = append(g.snrDB, p.Meas.SNR)
-			g.rssiDB = append(g.rssiDB, p.Meas.RSSI)
-		case impute:
-			g.ids = append(g.ids, p.Sector)
-			g.snrDB = append(g.snrDB, minSNR-1)
-			g.rssiDB = append(g.rssiDB, minRSSI-1)
-		}
-	}
-	return reported
-}
-
 // quantizeGather encodes the gathered dB vectors into the scratch's
 // quantVec and, over full dictionaries, builds its compacted fast-path
 // view.
 //
 //talon:noalloc
-func quantizeGather(g *gatherScratch, cols []int16, full bool) {
+func quantizeGather(g *gatherScratch, full bool) {
 	qv := &g.qv
-	qv.cols = cols
-	qv.snrQ = quantizeVec(qv.snrQ[:0], g.snrDB, cols)
-	qv.rssiQ = quantizeVec(qv.rssiQ[:0], g.rssiDB, cols)
+	qv.cols = g.cols
+	qv.snrQ = quantizeVec(qv.snrQ[:0], g.snrDB, g.cols)
+	qv.rssiQ = quantizeVec(qv.rssiQ[:0], g.rssiDB, g.cols)
 	qv.full = full
 	if full {
 		qv.compact()
@@ -661,60 +709,4 @@ func ampCached(db float64) float64 {
 		}
 	}
 	return amp(db)
-}
-
-// linearizeGather converts the gathered dB vectors to linear amplitudes
-// for the float epilogue. gatherQuantInto keeps the exact dB values
-// gatherInto would convert (including the minus-one imputation), so the
-// amplitudes here are bit-identical to the float kernel's own gather.
-//
-//talon:noalloc
-func linearizeGather(g *gatherScratch) {
-	g.snr, g.rssi = g.snr[:0], g.rssi[:0]
-	for _, v := range g.snrDB {
-		g.snr = append(g.snr, ampCached(v))
-	}
-	for _, v := range g.rssiDB {
-		g.rssi = append(g.rssi, ampCached(v))
-	}
-}
-
-// quantEpilogue turns the quantized search's argmax cell into the final
-// estimate using the float64 dictionary: one Eq. 5 evaluation at the
-// winning cell plus the parabolic refinement around it, O(M) work against
-// the O(grid·M) integer sweep that found the cell. Quantization noise is
-// thereby confined to the argmax decision itself — whenever the two
-// kernels agree on the cell (the common case the equivalence suite
-// gates), the reported Az/El/Corr are bit-identical to KernelFloat64,
-// and downstream near-tie decisions (Eq. 4 sector choice, the
-// FallbackCorr threshold) cannot flip on epsilon score differences.
-//
-//talon:noalloc
-func (e *Estimator) quantEpilogue(g *gatherScratch, cols []int16, bestA, bestE int, reported int) AoAEstimate {
-	en := e.en
-	snrOnly := e.opts.SNROnly
-	linearizeGather(g)
-	numAz := len(en.az)
-	w := jointIn(en.dict, (bestE*numAz+bestA)*en.stride, cols, g.snr, g.rssi, snrOnly)
-	aoa := AoAEstimate{Az: en.az[bestA], El: en.el[bestE], Corr: w, Used: reported, Cell: cellOf(bestA, bestE)}
-	if !e.opts.NoRefine {
-		// The closures serve the already-computed centre value instead of
-		// re-deriving it; jointIn is deterministic, so this is only a
-		// recomputation skip.
-		//lint:allow noalloc -- closure captures only stack values; escape analysis keeps it off the heap (see TestEstimateZeroAllocSteadyState)
-		aoa.Az = refineAxis(en.az, bestA, func(i int) float64 {
-			if i == bestA {
-				return w
-			}
-			return jointIn(en.dict, (bestE*numAz+i)*en.stride, cols, g.snr, g.rssi, snrOnly)
-		})
-		//lint:allow noalloc -- closure captures only stack values; escape analysis keeps it off the heap (see TestEstimateZeroAllocSteadyState)
-		aoa.El = refineAxis(en.el, bestE, func(i int) float64 {
-			if i == bestE {
-				return w
-			}
-			return jointIn(en.dict, (i*numAz+bestA)*en.stride, cols, g.snr, g.rssi, snrOnly)
-		})
-	}
-	return aoa
 }

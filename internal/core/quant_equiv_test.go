@@ -19,18 +19,88 @@ import (
 	"talon/internal/wil"
 )
 
-// Equivalence gate of the quantized int16 kernel (quant.go) against the
-// float64 reference, mirroring the hierarchical suite in hier_test.go:
-// both estimators run the same hierarchical search, so any divergence is
-// pure quantization noise. The gate is the ISSUE's acceptance criterion —
-// ≤1% sector divergence (equivCounter.assertRate), AoA within one
-// coarse-cell diagonal — over seeded clean and Standard60GHz faulty
-// trials, plus exact error parity on degenerate and minimum-probe
-// vectors.
+// Equivalence gate of the production quantized int16 kernel (quant.go)
+// against the exhaustive float64 oracle: any divergence is the sum of
+// quantization noise and the coarse-to-fine pruning (hier_test.go gates
+// the pruning alone). The budget is ≤1% sector divergence
+// (equivCounter.assertRate) with the AoA within one coarse-cell
+// diagonal, over seeded clean and Standard60GHz faulty trials, plus
+// exact error parity on degenerate and minimum-probe vectors.
+
+// coarseDiag is the diagonal of one coarse cell of est's coarse-to-fine
+// search, in degrees — the AoA bound of the equivalence suites.
+func coarseDiag(t testing.TB, est *Estimator) float64 {
+	t.Helper()
+	en := est.en
+	if len(en.coarseQ) == 0 {
+		t.Fatal("estimator has no coarse-to-fine search built")
+	}
+	azStep := en.az[1] - en.az[0]
+	elStep := 0.0
+	if len(en.el) > 1 {
+		elStep = en.el[1] - en.el[0]
+	}
+	return math.Hypot(float64(DefaultCoarseDecim)*azStep, float64(DefaultCoarseDecim)*elStep)
+}
+
+// equivCounter tallies the divergences of a candidate estimator from a
+// reference one over a seeded suite.
+type equivCounter struct {
+	trials, mismatches int
+}
+
+// compare checks one probe vector on both estimators: error classes must
+// agree exactly (the coarse-to-fine search falls back to an exhaustive
+// scan before it can fail differently); on success the selected sector
+// must match and the AoA estimates must stay within diag degrees.
+func (c *equivCounter) compare(t *testing.T, label string, cand, ref *Estimator, probes []Probe, diag float64) {
+	t.Helper()
+	ctx := context.Background()
+	cSel, cErr := cand.SelectSector(ctx, probes)
+	rSel, rErr := ref.SelectSector(ctx, probes)
+	if (cErr == nil) != (rErr == nil) {
+		t.Fatalf("%s: error parity broken: candidate %v, reference %v", label, cErr, rErr)
+	}
+	if cErr != nil {
+		for _, sentinel := range []error{ErrTooFewProbes, ErrDegenerateSurface, ErrDuplicateProbe} {
+			if errors.Is(cErr, sentinel) != errors.Is(rErr, sentinel) {
+				t.Fatalf("%s: sentinel parity broken: candidate %v, reference %v", label, cErr, rErr)
+			}
+		}
+		return
+	}
+	c.trials++
+	if cSel.Sector != rSel.Sector {
+		c.mismatches++
+		return
+	}
+	if !cSel.Fallback && !rSel.Fallback {
+		dAz := math.Abs(geom.WrapAz(cSel.AoA.Az - rSel.AoA.Az))
+		dEl := math.Abs(cSel.AoA.El - rSel.AoA.El)
+		if math.Hypot(dAz, dEl) > diag {
+			c.mismatches++
+		}
+	}
+}
+
+// assertRate enforces the equivalence budget: the candidate must agree
+// with the reference on at least 99% of the trials.
+func (c *equivCounter) assertRate(t *testing.T, minTrials int) {
+	t.Helper()
+	if c.trials < minTrials {
+		t.Fatalf("only %d successful equivalence trials, want >= %d", c.trials, minTrials)
+	}
+	budget := c.trials / 100
+	if c.mismatches > budget {
+		t.Fatalf("estimates diverged on %d of %d trials (budget %d)",
+			c.mismatches, c.trials, budget)
+	}
+	t.Logf("%d trials, %d divergences", c.trials, c.mismatches)
+}
 
 // TestQuantMatchesFloatClean runs the seeded clean-channel equivalence
-// suite across probe budgets: the quantized kernel must select the float
-// kernel's sector on ≥99% of trials and land within one coarse-cell
+// suite across probe budgets: the quantized kernel must select the
+// oracle's sector on ≥99% of trials and land within one coarse-cell
 // diagonal of its angle estimate.
 func TestQuantMatchesFloatClean(t *testing.T) {
 	set, gain := synthSetup(t)
@@ -374,19 +444,20 @@ func TestQuantConcurrentUse(t *testing.T) {
 }
 
 // TestKernelOptionPlumbing pins the option surface: unknown kernel names
-// are rejected at construction, ExactSearch implies the float kernel,
-// and the estimator reports the kernel actually serving estimates.
+// are rejected at construction, KernelFloat64 builds no quantized
+// dictionaries, and the estimator reports the kernel actually serving
+// estimates.
 func TestKernelOptionPlumbing(t *testing.T) {
 	set, _ := synthSetup(t)
 	if _, err := NewEstimator(set, Options{Kernel: "no-such-kernel"}); err == nil {
 		t.Fatal("unknown kernel accepted")
 	}
-	exact, err := NewEstimator(set, Options{ExactSearch: true})
+	exact, err := NewEstimator(set, Options{Kernel: KernelFloat64})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if exact.Kernel() != KernelFloat64 {
-		t.Fatalf("ExactSearch kernel = %q, want %q", exact.Kernel(), KernelFloat64)
+	if exact.Kernel() != KernelFloat64 || len(exact.en.dictQ) != 0 || len(exact.en.coarseQ) != 0 {
+		t.Fatalf("float64 oracle kernel = %q with %d quantized codes", exact.Kernel(), len(exact.en.dictQ)+len(exact.en.coarseQ))
 	}
 	pinned, err := NewEstimator(set, Options{Kernel: KernelQuantInt16})
 	if err != nil {
@@ -398,8 +469,8 @@ func TestKernelOptionPlumbing(t *testing.T) {
 	if !pinned.en.quant() || len(pinned.en.dictQ) != len(pinned.en.dict) {
 		t.Fatal("quantized dictionary was not built alongside the float one")
 	}
-	if len(pinned.en.coarseQ) != len(pinned.en.coarse) {
-		t.Fatal("quantized coarse dictionary does not mirror the float one")
+	if want := len(pinned.en.cAzIdx) * len(pinned.en.cElIdx) * pinned.en.stride; want == 0 || len(pinned.en.coarseQ) != want {
+		t.Fatalf("quantized coarse dictionary holds %d codes, want %d", len(pinned.en.coarseQ), want)
 	}
 }
 

@@ -171,12 +171,10 @@ func TestQuantFastSlowParity(t *testing.T) {
 		az := -60 + 120*rng.Float64()
 		probes := observe(t, gain, sector.TalonTX(), az, 20*rng.Float64(), quietModel(), rng)
 		g := &gatherScratch{}
-		if est.gatherQuantInto(g, probes) < 2 {
-			t.Fatal("gather produced too few probes")
+		if _, err := est.gather(g, probes); err != nil {
+			t.Fatal(err)
 		}
-		colBuf := en.probeCols(g.ids)
-		cols := *colBuf
-		quantizeGather(g, cols, true)
+		quantizeGather(g, true)
 		slow := g.qv
 		slow.full = false
 		for _, snrOnly := range []bool{false, true} {
@@ -189,7 +187,6 @@ func TestQuantFastSlowParity(t *testing.T) {
 				}
 			}
 		}
-		en.putCols(colBuf)
 	}
 }
 

@@ -1,10 +1,6 @@
 package core
 
-import (
-	"context"
-	"fmt"
-	"sync"
-)
+import "context"
 
 // Batch-major quantized selection.
 //
@@ -37,7 +33,6 @@ func tilePoints(stride int) int {
 // quantItem is the per-item state of one batch-major selection.
 type quantItem struct {
 	g        gatherScratch
-	cols     []int16
 	sc       *hierScratch
 	reported int
 	kept     int
@@ -50,10 +45,10 @@ type quantBatchScratch struct {
 	items []quantItem
 }
 
-// grow ensures capacity for n items with topK-sized candidate scratch.
-func (bs *quantBatchScratch) grow(n, topK int) {
+// grow ensures capacity for n items with top-K candidate scratch.
+func (bs *quantBatchScratch) grow(n int) {
 	for len(bs.items) < n {
-		bs.items = append(bs.items, quantItem{sc: newHierScratch(topK)})
+		bs.items = append(bs.items, quantItem{sc: newHierScratch()})
 	}
 }
 
@@ -63,34 +58,6 @@ func (en *engine) getBatchScratch() *quantBatchScratch {
 }
 
 func (en *engine) putBatchScratch(bs *quantBatchScratch) { en.batchScratch.Put(bs) }
-
-// selectBatchQuant runs the batch through the batch-major quantized
-// pipeline, filling out[i] with exactly what SelectSector would produce
-// for batch[i]. Items are split into contiguous per-worker chunks; the
-// split only affects which items share a dictionary sweep, never any
-// item's result. Returns non-nil only on context cancellation, in which
-// case out is discarded by the caller.
-func (e *Estimator) selectBatchQuant(ctx context.Context, batch []BatchItem, out []BatchResult, workers int) error {
-	n := len(batch)
-	if workers <= 1 {
-		return e.quantChunk(ctx, batch, out)
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo, hi := w*n/workers, (w+1)*n/workers
-		if lo == hi {
-			continue
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			// Cancellation is surfaced via ctx.Err() below.
-			_ = e.quantChunk(ctx, batch[lo:hi], out[lo:hi])
-		}(lo, hi)
-	}
-	wg.Wait()
-	return ctx.Err()
-}
 
 // quantChunk runs one contiguous chunk: gather and quantize every item,
 // resolve warm-hinted items from their local windows, sweep the coarse
@@ -102,10 +69,9 @@ func (e *Estimator) quantChunk(ctx context.Context, batch []BatchItem, out []Bat
 	en := e.en
 	n := len(batch)
 	snrOnly := e.opts.SNROnly
-	warmRadius, warmThresh := e.opts.warmRadius(), e.warmThreshold()
 	bs := en.getBatchScratch()
 	defer en.putBatchScratch(bs)
-	bs.grow(n, en.topK)
+	bs.grow(n)
 	items := bs.items[:n]
 
 	// Phase 1: gather + quantize each item's probe vector. Items that
@@ -119,31 +85,21 @@ func (e *Estimator) quantChunk(ctx context.Context, batch []BatchItem, out []Bat
 		metEstimates.Inc()
 		metQuantEstimates.Inc()
 		it.kept, it.done = 0, false
-		it.reported = e.gatherQuantInto(&it.g, batch[i].Probes)
-		if it.reported < 2 {
-			//lint:allow noalloc -- cold error path; the steady state skips the formatting branch
-			gatherErr := fmt.Errorf("core: %w: need at least 2 reported probes, have %d", ErrTooFewProbes, it.reported)
-			sel, serr := e.finishSelection(batch[i].Probes, AoAEstimate{}, gatherErr)
+		var err error
+		it.reported, err = e.gather(&it.g, batch[i].Probes)
+		if err != nil {
+			sel, serr := e.finishSelection(batch[i].Probes, AoAEstimate{}, err)
 			out[i] = BatchResult{Selection: sel, Err: serr}
 			it.done = true
 			continue
 		}
-		it.cols = it.cols[:0]
-		for _, id := range it.g.ids {
-			it.cols = append(it.cols, en.cols[id])
-		}
-		quantizeGather(&it.g, it.cols, en.fullQ)
-		if hint := batch[i].Hint; hint != NoCell {
-			metWarmHints.Inc()
-			if bestA, bestE, _, ok := en.warmArgmaxQ(&it.g.qv, hint, snrOnly, warmRadius, warmThresh); ok {
-				metWarmHits.Inc()
-				aoa := e.quantEpilogue(&it.g, it.cols, bestA, bestE, it.reported)
-				sel, serr := e.finishSelection(batch[i].Probes, aoa, nil)
-				out[i] = BatchResult{Selection: sel, Err: serr}
-				it.done = true
-				continue
-			}
-			metWarmFallbacks.Inc()
+		quantizeGather(&it.g, en.fullQ)
+		if bestA, bestE, _, ok := e.tryWarm(&it.g.qv, batch[i].Hint); ok {
+			aoa := e.epilogue(&it.g, bestA, bestE, it.reported)
+			sel, serr := e.finishSelection(batch[i].Probes, aoa, nil)
+			out[i] = BatchResult{Selection: sel, Err: serr}
+			it.done = true
+			continue
 		}
 		live++
 	}
@@ -191,13 +147,11 @@ func (e *Estimator) quantChunk(ctx context.Context, batch []BatchItem, out []Bat
 		}
 		if bestW <= 0 {
 			metDegenerate.Inc()
-			//lint:allow noalloc -- cold error path; the steady state skips the formatting branch
-			degErr := fmt.Errorf("core: %w", ErrDegenerateSurface)
-			sel, serr := e.finishSelection(batch[i].Probes, AoAEstimate{}, degErr)
+			sel, serr := e.finishSelection(batch[i].Probes, AoAEstimate{}, errDegenerate)
 			out[i] = BatchResult{Selection: sel, Err: serr}
 			continue
 		}
-		aoa := e.quantEpilogue(&it.g, it.cols, bestA, bestE, it.reported)
+		aoa := e.epilogue(&it.g, bestA, bestE, it.reported)
 		sel, serr := e.finishSelection(batch[i].Probes, aoa, nil)
 		out[i] = BatchResult{Selection: sel, Err: serr}
 	}

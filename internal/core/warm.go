@@ -1,10 +1,6 @@
 package core
 
-import (
-	"context"
-	"fmt"
-	"time"
-)
+import "context"
 
 // Warm-start incremental re-estimation.
 //
@@ -71,9 +67,9 @@ func (c Cell) split() (ai, ei int, ok bool) {
 // Warm-start defaults.
 const (
 	// DefaultWarmRadius is the half-width, in dense grid cells per axis,
-	// of the warm-start scan window. 4 covers the default hierarchy's
-	// refinement window (radius (decim+1)/2 = 2 at DefaultCoarseDecim)
-	// plus two cells of inter-round drift.
+	// of the warm-start scan window. 4 covers the coarse-to-fine
+	// search's refinement window (radius coarseWin = 2) plus two cells of
+	// inter-round drift.
 	DefaultWarmRadius = 4
 	// DefaultWarmMargin scales the FallbackCorr threshold into the
 	// warm acceptance margin: local winners below
@@ -88,32 +84,16 @@ const (
 	DefaultWarmMargin = 1.6
 )
 
-func (o Options) warmRadius() int {
-	if o.WarmRadius > 0 {
-		return o.WarmRadius
-	}
-	return DefaultWarmRadius
-}
-
-func (o Options) warmMargin() float64 {
-	switch {
-	case o.WarmMargin < 0:
-		return 0
-	case o.WarmMargin == 0:
-		return DefaultWarmMargin
-	}
-	return o.WarmMargin
-}
-
 // warmThreshold is the acceptance bar of the local winner's quantized
 // score. It scales with the fallback threshold so disabling the fallback
 // (FallbackCorr < 0) also relaxes the warm guard to bare positivity.
 func (e *Estimator) warmThreshold() float64 {
-	return e.opts.warmMargin() * e.opts.fallbackCorr()
+	return DefaultWarmMargin * e.opts.fallbackCorr()
 }
 
-// warmArgmaxQ scans the dense (2·radius+1)² window centred on the hint
-// cell on the quantized dictionary and returns its argmax. ok is false —
+// warmArgmaxQ scans the dense (2·DefaultWarmRadius+1)² window centred
+// on the hint cell on the quantized dictionary and returns its argmax.
+// ok is false —
 // and the caller must run the full search — when the hint does not fit
 // the grid, the window's best score is not positive, fails the margin
 // threshold, or sits on a non-grid-edge window rim (see the file comment
@@ -122,7 +102,8 @@ func (e *Estimator) warmThreshold() float64 {
 // tie-break order.
 //
 //talon:noalloc
-func (en *engine) warmArgmaxQ(qv *quantVec, hint Cell, snrOnly bool, radius int, thresh float64) (bestA, bestE int, bestW float64, ok bool) {
+func (en *engine) warmArgmaxQ(qv *quantVec, hint Cell, snrOnly bool, thresh float64) (bestA, bestE int, bestW float64, ok bool) {
+	const radius = DefaultWarmRadius
 	numAz, numEl := len(en.az), len(en.el)
 	ha, he, valid := hint.split()
 	if !valid || ha >= numAz || he >= numEl {
@@ -158,71 +139,48 @@ func (en *engine) warmArgmaxQ(qv *quantVec, hint Cell, snrOnly bool, radius int,
 // bit-identical to SelectSector.
 func (e *Estimator) SelectSectorWarm(ctx context.Context, probes []Probe, hint Cell) (Selection, error) {
 	metSelectEngine.Inc()
-	aoa, err := e.estimateHint(ctx, probes, 0, hint)
+	aoa, err := e.estimate(ctx, probes, hint)
 	if err != nil && isCtxErr(err) {
 		return Selection{}, err
 	}
 	return e.finishSelection(probes, aoa, err)
 }
 
-// estimateQuantHint is estimateQuant with an optional warm-start hint:
-// after the shared gather+quantize prologue it tries the local window
-// first and falls back to the full quantized search on any guard
+// tryWarm runs the warm-start window scan for a hinted estimate and
+// counts the hint and its outcome; ok is false for NoCell and on any
+// guard failure, leaving the caller to run the full search.
+//
+//talon:noalloc
+func (e *Estimator) tryWarm(qv *quantVec, hint Cell) (bestA, bestE int, bestW float64, ok bool) {
+	if hint == NoCell {
+		return 0, 0, 0, false
+	}
+	metWarmHints.Inc()
+	bestA, bestE, bestW, ok = e.en.warmArgmaxQ(qv, hint, e.opts.SNROnly, e.warmThreshold())
+	if ok {
+		metWarmHits.Inc()
+	} else {
+		metWarmFallbacks.Inc()
+	}
+	return bestA, bestE, bestW, ok
+}
+
+// searchHinted is the quantized search of one gathered estimate: the
+// hint's local window first, the full coarse-to-fine search on any guard
 // failure.
 //
 //talon:noalloc
-func (e *Estimator) estimateQuantHint(ctx context.Context, g *gatherScratch, probes []Probe, hint Cell) (AoAEstimate, error) {
+func (e *Estimator) searchHinted(ctx context.Context, g *gatherScratch, hint Cell) (bestA, bestE int, bestW float64, err error) {
 	metQuantEstimates.Inc()
-	reported := e.gatherQuantInto(g, probes)
-	if reported < 2 {
-		//lint:allow noalloc -- cold error path; the steady state returns before formatting
-		return AoAEstimate{}, fmt.Errorf("core: %w: need at least 2 reported probes, have %d", ErrTooFewProbes, reported)
-	}
 	en := e.en
-	colBuf := en.probeCols(g.ids)
-	defer en.putCols(colBuf)
-	cols := *colBuf
-	quantizeGather(g, cols, en.fullQ)
-	snrOnly := e.opts.SNROnly
-
-	if hint != NoCell {
-		metWarmHints.Inc()
-		if bestA, bestE, _, ok := en.warmArgmaxQ(&g.qv, hint, snrOnly, e.opts.warmRadius(), e.warmThreshold()); ok {
-			metWarmHits.Inc()
-			return e.quantEpilogue(g, cols, bestA, bestE, reported), nil
-		}
-		metWarmFallbacks.Inc()
+	quantizeGather(g, en.fullQ)
+	if bestA, bestE, bestW, ok := e.tryWarm(&g.qv, hint); ok {
+		return bestA, bestE, bestW, nil
 	}
-
 	var sc *hierScratch
 	if len(en.coarseQ) > 0 {
 		sc = en.getHierScratch()
 		defer en.putHierScratch(sc)
 	}
-	bestA, bestE, bestW, err := en.searchQuant(ctx, sc, &g.qv, snrOnly)
-	if err != nil {
-		return AoAEstimate{}, err
-	}
-	if bestW <= 0 {
-		metDegenerate.Inc()
-		//lint:allow noalloc -- cold error path; the steady state returns before formatting
-		return AoAEstimate{}, fmt.Errorf("core: %w", ErrDegenerateSurface)
-	}
-	return e.quantEpilogue(g, cols, bestA, bestE, reported), nil
-}
-
-// estimateHint is estimate() with a warm-start hint. The hint only
-// reaches the quantized kernel; the float64 paths ignore it, so pinned
-// float artifacts cannot drift through warm-start plumbing.
-func (e *Estimator) estimateHint(ctx context.Context, probes []Probe, maxShards int, hint Cell) (AoAEstimate, error) {
-	if e.en != nil && e.en.quant() {
-		metEstimates.Inc()
-		start := time.Now() //lint:allow determinism -- estimate-latency histogram reads the wall clock by design
-		defer metEstimateSeconds.ObserveSince(start)
-		metScratchGets.Inc()
-		g := e.gathers.Get().(*gatherScratch)
-		defer e.gathers.Put(g)
-		return e.estimateQuantHint(ctx, g, probes, hint)
-	}
-	return e.estimate(ctx, probes, maxShards)
+	return en.searchQuant(ctx, sc, &g.qv, e.opts.SNROnly)
 }

@@ -220,15 +220,21 @@ func TestQuantWarmMatchesColdFaultyChannel(t *testing.T) {
 	c.assertRate(t, 139)
 }
 
-// TestQuantWarmMarginFallback forces the margin guard to fire: with the
-// warm margin pushed above any reachable correlation, every hinted call
-// must reject its local winner, count a fallback, and reproduce the
-// cold selection bit for bit.
+// TestQuantWarmMarginFallback forces the margin guard to fire: the warm
+// threshold is DefaultWarmMargin × FallbackCorr, so a fallback threshold
+// of 0.7 puts it at 1.12, above any reachable correlation. Every hinted
+// call must then reject its local winner, count a fallback, and
+// reproduce the cold selection bit for bit. (Most cold selections fall
+// back to the sweep at that threshold too; their AoA still carries the
+// cell used as the hint.)
 func TestQuantWarmMarginFallback(t *testing.T) {
 	set, gain := synthSetup(t)
-	strict, err := NewEstimator(set, Options{WarmMargin: 1e9})
+	strict, err := NewEstimator(set, Options{FallbackCorr: 0.7})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if thresh := strict.warmThreshold(); thresh <= 1 {
+		t.Fatalf("warm threshold %v is reachable", thresh)
 	}
 	rng := stats.NewRNG(71)
 	model := radio.DefaultMeasurementModel()
@@ -244,7 +250,7 @@ func TestQuantWarmMarginFallback(t *testing.T) {
 		az := -70 + 140*rng.Float64()
 		probes := observe(t, gain, ps.IDs(), az, 9, model, rng)
 		cold, cErr := strict.SelectSector(ctx, probes)
-		if cErr != nil {
+		if cErr != nil || cold.AoA.Cell == NoCell {
 			continue
 		}
 		hintsBefore, hitsBefore, fallsBefore := metWarmHints.Value(), metWarmHits.Value(), metWarmFallbacks.Value()

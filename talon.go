@@ -54,8 +54,8 @@
 // ErrNotJailbroken (a firmware feature needs a missing patch),
 // ErrTooFewProbes (probe budget or reported measurements below the
 // minimum), ErrDegenerateSurface (measurements carry no directional
-// information), and ErrUnknownSector (a sector ID the hardware does not
-// know).
+// information), ErrDuplicateProbe (a probe vector names a sector twice),
+// and ErrUnknownSector (a sector ID the hardware does not know).
 package talon
 
 import (
@@ -123,7 +123,7 @@ const (
 	KernelAuto = core.KernelAuto
 	// KernelQuantInt16 is the cache-tiled quantized int16 kernel.
 	KernelQuantInt16 = core.KernelQuantInt16
-	// KernelFloat64 is the exact float64 reference kernel.
+	// KernelFloat64 is the exhaustive float64 oracle.
 	KernelFloat64 = core.KernelFloat64
 )
 
@@ -158,6 +158,9 @@ var (
 	// ErrDegenerateSurface reports a correlation surface with no positive
 	// maximum: the measurements carry no directional information.
 	ErrDegenerateSurface = core.ErrDegenerateSurface
+	// ErrDuplicateProbe reports a probe vector that names the same
+	// sector twice; selection rejects it instead of falling back.
+	ErrDuplicateProbe = core.ErrDuplicateProbe
 	// ErrUnknownSector reports a sector ID outside the hardware's
 	// codebook or the 6-bit on-air range.
 	ErrUnknownSector = sector.ErrUnknown
@@ -254,7 +257,6 @@ type trainerConfig struct {
 	m       int
 	seed    int64
 	estOpts EstimatorOptions
-	exact   bool
 	float   bool
 }
 
@@ -279,25 +281,15 @@ func WithEstimatorOptions(opts EstimatorOptions) TrainerOption {
 	return func(c *trainerConfig) { c.estOpts = opts }
 }
 
-// WithExactSearch forces the paper-faithful exhaustive grid search
-// instead of the default hierarchical coarse-to-fine search. The
-// hierarchical search selects the same sector on essentially all
-// realistic probe vectors at a fraction of the cost (see DESIGN.md §12);
-// exact mode preserves the original engine's bit-for-bit behaviour for
-// audits and regression baselines. Composes with WithEstimatorOptions
-// regardless of option order.
-func WithExactSearch() TrainerOption {
-	return func(c *trainerConfig) { c.exact = true }
-}
-
-// WithFloatKernel pins the float64 correlation kernel instead of the
-// default quantized int16 kernel (core/quant.go). The quantized kernel
-// is equivalence-gated — not bit-identical — against float64: it selects
-// the same sector on ≥99% of seeded trials and lands within one
-// coarse-cell diagonal on the rest, at a fraction of the cost. Pin the
-// float kernel when reproducing artifacts recorded before the quantized
-// default, or when auditing against the serial reference (WithExactSearch
-// implies it). Composes with WithEstimatorOptions regardless of order.
+// WithFloatKernel pins the exhaustive float64 oracle instead of the
+// default quantized int16 coarse-to-fine kernel (core/quant.go). The
+// oracle scans every grid point and agrees bit for bit with the serial
+// reference; the quantized kernel is equivalence-gated — not
+// bit-identical — against it: it selects the same sector on ≥99% of
+// seeded trials and lands within one coarse-cell diagonal on the rest,
+// at a fraction of the cost. Pin the oracle for audits and regression
+// baselines, or when reproducing artifacts recorded on it. Composes
+// with WithEstimatorOptions regardless of order.
 func WithFloatKernel() TrainerOption {
 	return func(c *trainerConfig) { c.float = true }
 }
@@ -313,9 +305,6 @@ func NewTrainer(link *Link, patterns *PatternSet, opts ...TrainerOption) (*Train
 	cfg := trainerConfig{m: DefaultM, seed: 1}
 	for _, opt := range opts {
 		opt(&cfg)
-	}
-	if cfg.exact {
-		cfg.estOpts.ExactSearch = true
 	}
 	if cfg.float {
 		cfg.estOpts.Kernel = core.KernelFloat64

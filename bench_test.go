@@ -113,7 +113,7 @@ func BenchmarkFigure7_PathEstimationError(b *testing.B) {
 	rng := stats.NewRNG(1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		te, err := eval.EvaluateTraces(context.Background(), "lab", r.labTrcs, r.platform.Estimator, []int{10, 20}, 1, rng)
+		te, err := eval.EvaluateTraces(context.Background(), "lab", r.labTrcs, r.platform.Estimator, []int{10, 20}, 1, rng, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -130,7 +130,7 @@ func BenchmarkFigure8_SelectionStability(b *testing.B) {
 	rng := stats.NewRNG(2)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		te, err := eval.EvaluateTraces(context.Background(), "conference", r.traces, r.platform.Estimator, []int{14}, 2, rng)
+		te, err := eval.EvaluateTraces(context.Background(), "conference", r.traces, r.platform.Estimator, []int{14}, 2, rng, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -146,7 +146,7 @@ func BenchmarkFigure9_SNRLoss(b *testing.B) {
 	rng := stats.NewRNG(3)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		te, err := eval.EvaluateTraces(context.Background(), "conference", r.traces, r.platform.Estimator, []int{6, 14, 34}, 1, rng)
+		te, err := eval.EvaluateTraces(context.Background(), "conference", r.traces, r.platform.Estimator, []int{6, 14, 34}, 1, rng, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -192,7 +192,7 @@ func BenchmarkAblation_JointCorrelation(b *testing.B) {
 	rng := stats.NewRNG(5)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := eval.AblationJointCorrelation(context.Background(), r.platform, r.traces, 14, 1, rng); err != nil {
+		if _, err := eval.AblationJointCorrelation(context.Background(), r.platform, r.traces, 14, 1, rng, 0); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -205,7 +205,7 @@ func BenchmarkAblation_MeasuredVsIdealPatterns(b *testing.B) {
 	rng := stats.NewRNG(6)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := eval.AblationMeasuredVsIdeal(context.Background(), r.platform, r.traces, 14, 1, rng); err != nil {
+		if _, err := eval.AblationMeasuredVsIdeal(context.Background(), r.platform, r.traces, 14, 1, rng, 0); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -217,7 +217,7 @@ func BenchmarkAblation_ProbeSelection(b *testing.B) {
 	rng := stats.NewRNG(7)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := eval.AblationProbeSelection(context.Background(), r.platform, r.traces, 14, 1, rng); err != nil {
+		if _, err := eval.AblationProbeSelection(context.Background(), r.platform, r.traces, 14, 1, rng, 0); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -271,7 +271,7 @@ func BenchmarkCore_SelectSector(b *testing.B) {
 	}
 }
 
-// BenchmarkEval_TraceTrials times the bounded-parallel trial loop of
+// BenchmarkEval_TraceTrials times the parallel trial fan-out of
 // EvaluateTraces at the default worker count versus forced-serial
 // execution. Results are identical at any setting; only wall clock
 // differs (on multi-core hosts).
@@ -282,12 +282,10 @@ func BenchmarkEval_TraceTrials(b *testing.B) {
 		workers int
 	}{{"serial", 1}, {"default", 0}} {
 		b.Run(bc.name, func(b *testing.B) {
-			eval.SetParallelism(bc.workers)
-			defer eval.SetParallelism(0)
 			rng := stats.NewRNG(12)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := eval.EvaluateTraces(context.Background(), "conference", r.traces, r.platform.Estimator, []int{6, 14, 24}, 2, rng); err != nil {
+				if _, err := eval.EvaluateTraces(context.Background(), "conference", r.traces, r.platform.Estimator, []int{6, 14, 24}, 2, rng, bc.workers); err != nil {
 					b.Fatal(err)
 				}
 			}

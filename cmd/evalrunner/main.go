@@ -25,7 +25,8 @@
 // Estimation: -exact runs the exhaustive float64 oracle; by default the
 // estimators run the quantized int16 coarse-to-fine kernel (same
 // selections on essentially all inputs, many times faster — see
-// DESIGN.md §15). -workers bounds the trial-loop parallelism, the only
+// DESIGN.md §15). -workers bounds the trial fan-out of the
+// trace-evaluation studies and of campaign record/replay, the only
 // fan-out of an evaluation run: each estimate is single-threaded.
 //
 // Fault injection: -fault-rates sets the loss rates the faultsweep
@@ -47,6 +48,7 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
+	"runtime"
 	"strconv"
 	"strings"
 	"time"
@@ -62,7 +64,7 @@ var (
 	exp        = flag.String("exp", "all", "comma-separated studies to run (see -list)")
 	list       = flag.Bool("list", false, "list the registered studies and exit")
 	outDir     = flag.String("out", "", "also write <study>.txt and <study>.json artifacts to this directory")
-	workers    = flag.Int("workers", 0, "trial-loop worker count (0 = GOMAXPROCS, 1 = serial); results are identical at any setting")
+	workers    = flag.Int("workers", 0, "trial fan-out of the trace-evaluation studies and campaign record/replay (0 = GOMAXPROCS, 1 = serial); results are identical at any setting")
 	exact      = flag.Bool("exact", false, "run the exhaustive float64 oracle instead of the quantized int16 coarse-to-fine kernel")
 	metricsOut = flag.String("metrics", "", "dump the metrics registry as JSON to this file on exit (\"-\" = stdout)")
 	debugAddr  = flag.String("debug", "", "serve /metrics and /debug/pprof on this address (e.g. localhost:6060)")
@@ -84,7 +86,9 @@ var (
 
 func main() {
 	flag.Parse()
-	eval.SetParallelism(*workers)
+	if *workers <= 0 {
+		*workers = runtime.GOMAXPROCS(0)
+	}
 	if *exact {
 		eval.SetEstimatorOptions(core.Options{Kernel: core.KernelFloat64})
 	}
@@ -123,6 +127,7 @@ func pick() (eval.Fidelity, error) {
 // buildConfig assembles the cross-study Config from the flags.
 func buildConfig(f eval.Fidelity) (eval.Config, error) {
 	cfg := eval.NewConfig(f, *seed)
+	cfg.Workers = *workers
 	rates, err := parseRates(*faultRates)
 	if err != nil {
 		return cfg, err
@@ -139,7 +144,7 @@ func buildConfig(f eval.Fidelity) (eval.Config, error) {
 		Trials:          *trials,
 		SplitSeed:       *split,
 		RecordsPerShard: *shardRecords,
-		Workers:         eval.Parallelism(),
+		Workers:         *workers,
 		MappedIO:        *mapped,
 	}
 	return cfg, nil
@@ -200,7 +205,7 @@ func run(ctx context.Context) error {
 
 // buildPlatform runs the chamber campaign once for every platform study.
 func buildPlatform(ctx context.Context, f eval.Fidelity) (*eval.Platform, error) {
-	fmt.Fprintf(os.Stderr, "building platform (%s fidelity, seed %d, %d workers)...\n", *fidelity, *seed, eval.Parallelism())
+	fmt.Fprintf(os.Stderr, "building platform (%s fidelity, seed %d, %d workers)...\n", *fidelity, *seed, *workers)
 	start := time.Now()
 	p, err := eval.NewPlatform(ctx, *seed, f.PatternGrid, f.CampaignRepeats)
 	if err != nil {
@@ -238,7 +243,7 @@ func runCampaignPipeline(ctx context.Context, cfg eval.Config) error {
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(os.Stderr, "replay finished in %v (%d workers)\n", time.Since(start).Round(time.Millisecond), eval.Parallelism())
+	fmt.Fprintf(os.Stderr, "replay finished in %v (%d workers)\n", time.Since(start).Round(time.Millisecond), *workers)
 	fmt.Print(sc.Table())
 	return writeArtifacts("campaign", sc)
 }

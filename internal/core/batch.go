@@ -2,10 +2,10 @@ package core
 
 import (
 	"context"
-	"math"
 	"runtime"
-	"sync"
 	"time"
+
+	"talon/internal/par"
 )
 
 // BatchResult pairs one batch item's selection with its error. Errors
@@ -61,40 +61,35 @@ func (e *Estimator) SelectSectorBatch(ctx context.Context, batch []BatchItem, wo
 	}
 	metBatches.Inc()
 	metBatchEstimates.Add(int64(n))
-	metBatchSize.Set(int64(n))
 	start := time.Now() //lint:allow determinism -- batch-latency histogram reads the wall clock by design
 	defer metBatchSeconds.ObserveSince(start)
 	if procs := runtime.GOMAXPROCS(0); workers <= 0 || workers > procs {
 		workers = procs
 	}
-	if workers > n {
-		workers = n
-	}
-	rounds := math.Ceil(float64(n) / float64(workers))
-	metBatchOccupancy.Set(float64(n) / (float64(workers) * rounds))
-
+	chunks := min(workers, n)
 	out := make([]BatchResult, n)
-	if workers == 1 {
-		if err := e.selectChunk(ctx, batch, out); err != nil {
-			return nil, err
-		}
-		return out, nil
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo, hi := w*n/workers, (w+1)*n/workers
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			// Cancellation is surfaced via ctx.Err() below.
-			_ = e.selectChunk(ctx, batch[lo:hi], out[lo:hi])
-		}(lo, hi)
-	}
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
+	if err := par.ForEach(ctx, chunks, chunks, batchJob{e, ctx, batch, out, chunks}, batchJob.run); err != nil {
 		return nil, err
 	}
 	return out, nil
+}
+
+// batchJob is one SelectSectorBatch call, split into chunks contiguous
+// item ranges; it travels to par.ForEach by value so the serial path
+// allocates nothing beyond the results.
+type batchJob struct {
+	e      *Estimator
+	ctx    context.Context
+	batch  []BatchItem
+	out    []BatchResult
+	chunks int
+}
+
+// run selects chunk c of the batch.
+func (j batchJob) run(_, c int) error {
+	n := len(j.batch)
+	lo, hi := c*n/j.chunks, (c+1)*n/j.chunks
+	return j.e.selectChunk(j.ctx, j.batch[lo:hi], j.out[lo:hi])
 }
 
 // selectChunk fills out[i] with exactly what SelectSector (or

@@ -187,7 +187,8 @@ type AoAEstimate struct {
 	// Corr is the correlation value at the maximum (product of the SNR
 	// and RSSI correlations unless SNROnly).
 	Corr float64
-	// Used is the number of probes that carried a measurement.
+	// Used is the number of reported probes that entered the
+	// correlation: those whose sector the pattern set carries.
 	Used int
 	// Cell is the dense grid cell of the argmax, usable as the
 	// warm-start hint of a later estimate (see SelectSectorWarm).
@@ -213,14 +214,15 @@ func amp(db float64) float64 { return math.Pow(10, db/20) }
 // report means the sector was (almost always) below decode sensitivity,
 // which is information the correlation should use. Probes for sectors
 // absent from the pattern set are gathered with column -1 and skipped
-// by every correlation. It fails with ErrDuplicateProbe when two probes
-// name the same sector and with ErrTooFewProbes when fewer than two
-// report.
+// by every correlation; used counts the reported probes that are not.
+// It fails with ErrDuplicateProbe when two probes name the same sector
+// and with ErrTooFewProbes when fewer than two report.
 //
 //talon:noalloc
-func (e *Estimator) gather(g *gatherScratch, probes []Probe) (reported int, err error) {
+func (e *Estimator) gather(g *gatherScratch, probes []Probe) (used int, err error) {
 	var seen [4]uint64 // one bit per sector.ID
 	minSNR, minRSSI := math.Inf(1), math.Inf(1)
+	reported := 0
 	for _, p := range probes {
 		w, bit := &seen[p.Sector>>6], uint64(1)<<(p.Sector&63)
 		if *w&bit != 0 {
@@ -231,6 +233,9 @@ func (e *Estimator) gather(g *gatherScratch, probes []Probe) (reported int, err 
 			continue
 		}
 		reported++
+		if e.en.cols[p.Sector] >= 0 {
+			used++
+		}
 		if p.Meas.SNR < minSNR {
 			minSNR = p.Meas.SNR
 		}
@@ -240,7 +245,7 @@ func (e *Estimator) gather(g *gatherScratch, probes []Probe) (reported int, err 
 	}
 	if reported < 2 {
 		//lint:allow noalloc -- cold error path; the steady state returns before formatting
-		return reported, fmt.Errorf("core: %w: need at least 2 reported probes, have %d", ErrTooFewProbes, reported)
+		return 0, fmt.Errorf("core: %w: need at least 2 reported probes, have %d", ErrTooFewProbes, reported)
 	}
 	g.ids, g.cols = g.ids[:0], g.cols[:0]
 	g.snrDB, g.rssiDB = g.snrDB[:0], g.rssiDB[:0]
@@ -261,7 +266,7 @@ func (e *Estimator) gather(g *gatherScratch, probes []Probe) (reported int, err 
 		g.snr = append(g.snr, ampCached(snr))
 		g.rssi = append(g.rssi, ampCached(rssi))
 	}
-	return reported, nil
+	return used, nil
 }
 
 // correlate implements Eq. 2: the squared normalized correlation of the
@@ -351,7 +356,7 @@ func (e *Estimator) estimate(ctx context.Context, probes []Probe, hint Cell) (Ao
 	metScratchGets.Inc()
 	g := e.gathers.Get().(*gatherScratch)
 	defer e.gathers.Put(g)
-	reported, err := e.gather(g, probes)
+	used, err := e.gather(g, probes)
 	if err != nil {
 		return AoAEstimate{}, err
 	}
@@ -369,7 +374,7 @@ func (e *Estimator) estimate(ctx context.Context, probes []Probe, hint Cell) (Ao
 		metDegenerate.Inc()
 		return AoAEstimate{}, errDegenerate
 	}
-	return e.epilogue(g, bestA, bestE, reported), nil
+	return e.epilogue(g, bestA, bestE, used), nil
 }
 
 // epilogue turns a search's argmax cell into the final estimate using
@@ -385,13 +390,13 @@ func (e *Estimator) estimate(ctx context.Context, probes []Probe, hint Cell) (Ao
 // reports the cell as a warm-start hint.
 //
 //talon:noalloc
-func (e *Estimator) epilogue(g *gatherScratch, bestA, bestE int, reported int) AoAEstimate {
+func (e *Estimator) epilogue(g *gatherScratch, bestA, bestE int, used int) AoAEstimate {
 	en := e.en
 	snrOnly := e.opts.SNROnly
 	cols, snr, rssi := g.cols, g.snr, g.rssi
 	numAz := len(en.az)
 	w := jointIn(en.dict, (bestE*numAz+bestA)*en.stride, cols, snr, rssi, snrOnly)
-	aoa := AoAEstimate{Az: en.az[bestA], El: en.el[bestE], Corr: w, Used: reported}
+	aoa := AoAEstimate{Az: en.az[bestA], El: en.el[bestE], Corr: w, Used: used}
 	if en.quant() {
 		aoa.Cell = cellOf(bestA, bestE)
 	}
@@ -425,7 +430,7 @@ func (e *Estimator) epilogue(g *gatherScratch, bestA, bestE int, reported int) A
 func (e *Estimator) EstimateAoASerial(probes []Probe) (AoAEstimate, error) {
 	metEstimatesSerial.Inc()
 	var g gatherScratch
-	reported, err := e.gather(&g, probes)
+	used, err := e.gather(&g, probes)
 	if err != nil {
 		return AoAEstimate{}, err
 	}
@@ -460,7 +465,7 @@ func (e *Estimator) EstimateAoASerial(probes []Probe) (AoAEstimate, error) {
 		az = refineAxis(azAxis, bestA, func(i int) float64 { return w[bestE][i] })
 		el = refineAxis(elAxis, bestE, func(i int) float64 { return w[i][bestA] })
 	}
-	return AoAEstimate{Az: az, El: el, Corr: bestW, Used: reported}, nil
+	return AoAEstimate{Az: az, El: el, Corr: bestW, Used: used}, nil
 }
 
 // refineAxis sharpens the argmax along one axis with a parabolic fit
@@ -535,9 +540,9 @@ const (
 // from the probes and choose the best of all N sectors toward it (Eq. 4).
 // When the correlation maximum is too weak to be trusted — or no estimate
 // is possible at all — the selection falls back to the classic argmax
-// over the probed sectors. A cancelled context propagates ctx.Err(),
-// and a malformed vector ErrDuplicateProbe, instead of degrading to the
-// sweep fallback.
+// over the probed sectors the pattern set carries. A cancelled context
+// propagates ctx.Err(), and a malformed vector ErrDuplicateProbe, instead
+// of degrading to the sweep fallback.
 func (e *Estimator) SelectSector(ctx context.Context, probes []Probe) (Selection, error) {
 	return e.SelectSectorWarm(ctx, probes, NoCell)
 }
@@ -552,8 +557,10 @@ func (e *Estimator) SelectSectorSerial(probes []Probe) (Selection, error) {
 
 // finishSelection turns an estimate into a selection: the sweep
 // fallback when the estimate failed or is too weak, else Eq. 4 — one
-// TX-lookup scan toward the estimated angle. A malformed probe vector
-// is an error, not a fallback.
+// TX-lookup scan toward the estimated angle. The fallback considers only
+// the transmit sectors the pattern set carries; with none reported it
+// fails with ErrTooFewProbes. A malformed probe vector is an error, not
+// a fallback.
 //
 //talon:noalloc
 func (e *Estimator) finishSelection(probes []Probe, aoa AoAEstimate, err error) (Selection, error) {
@@ -561,13 +568,12 @@ func (e *Estimator) finishSelection(probes []Probe, aoa AoAEstimate, err error) 
 		return Selection{}, err
 	}
 	if err != nil || aoa.Corr < e.opts.fallbackCorr() {
-		id, ok := SweepSelect(probes)
+		id, ok := sweepArgmax(probes, &e.en.cols)
 		if !ok {
-			if err != nil {
+			if errors.Is(err, ErrTooFewProbes) {
 				return Selection{}, err
 			}
-			//lint:allow noalloc -- cold error path: no probe reported, the steady state never formats
-			return Selection{}, fmt.Errorf("core: %w: no probe reported a measurement", ErrTooFewProbes)
+			return Selection{}, errNoTXReport
 		}
 		metSelectFallback.Inc()
 		return Selection{Sector: id, Gain: math.NaN(), AoA: aoa, Fallback: true}, nil
@@ -579,7 +585,10 @@ func (e *Estimator) finishSelection(probes []Probe, aoa AoAEstimate, err error) 
 	return Selection{Sector: id, Gain: gain, AoA: aoa}, nil
 }
 
-var errNoUsableTX = errors.New("core: pattern set has no usable TX sector")
+var (
+	errNoUsableTX = errors.New("core: pattern set has no usable TX sector")
+	errNoTXReport = fmt.Errorf("core: %w: no reported probe names a transmit sector of the pattern set", ErrTooFewProbes)
+)
 
 // isCtxErr reports whether err is a context cancellation or deadline.
 func isCtxErr(err error) bool {

@@ -272,8 +272,10 @@ func TestNonFiniteReadingsAreUnreported(t *testing.T) {
 //     reported.
 //   - Probes for sectors absent from the pattern set are skipped by the
 //     correlation: appending loud ones leaves the selection and angle bit
-//     for bit unchanged (Used still counts them), and a vector of only
-//     such probes has a degenerate surface.
+//     for bit unchanged (Used does not count them), and a vector of only
+//     such probes has a degenerate surface. The sweep fallback never
+//     selects them: it falls back to the one known report among them,
+//     and fails with ErrTooFewProbes when there is none.
 //   - At most 64 components enter the correlation: on a set of 80
 //     sectors, an 80-probe vector whose last 16 readings point elsewhere
 //     (below the loudest of the first 64, so the quantized kernel's
@@ -343,12 +345,21 @@ func TestProbeVectorContract(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/%s: unknown sectors: %v", kc.name, ec.name, err)
 			}
-			if got.AoA.Used != want.AoA.Used+10 {
-				t.Fatalf("%s/%s: Used = %d, want %d", kc.name, ec.name, got.AoA.Used, want.AoA.Used+10)
+			if got.AoA.Used != 20 || !sameSelectionBits(got, want) {
+				t.Fatalf("%s/%s: unknown sectors moved the selection: %+v, want %+v (Used 20)", kc.name, ec.name, got, want)
 			}
-			got.AoA.Used = want.AoA.Used
-			if !sameSelectionBits(got, want) {
-				t.Fatalf("%s/%s: unknown sectors moved the selection: %+v, want %+v", kc.name, ec.name, got, want)
+			if ec.name == "EstimateAoA" {
+				continue
+			}
+			// The sweep fallback picks only sectors the set carries:
+			// the lone known report beats louder unknown ones, and a
+			// vector of unknown reports has nothing to pick.
+			lone := append([]Probe{clean[0]}, unknown[len(clean):]...)
+			if sel, err := ec.run(lone); err != nil || !sel.Fallback || sel.Sector != clean[0].Sector {
+				t.Fatalf("%s/%s: one known report among unknown ones gave %v, %v; want the sweep fallback to sector %v", kc.name, ec.name, sel, err, clean[0].Sector)
+			}
+			if sel, err := ec.run(unknown[len(clean):]); !errors.Is(err, ErrTooFewProbes) {
+				t.Fatalf("%s/%s: all-unknown vector gave %v, %v; want ErrTooFewProbes", kc.name, ec.name, sel, err)
 			}
 		}
 		if _, err := est.EstimateAoA(ctx, unknown[len(clean):]); !errors.Is(err, ErrDegenerateSurface) {

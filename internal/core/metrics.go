@@ -31,10 +31,6 @@ var (
 		"selections run through the batched estimation path")
 	metBatchSeconds = obs.NewHistogram("core_batch_seconds",
 		"wall time of one SelectSectorBatch call", obs.LatencyBuckets)
-	metBatchSize = obs.NewGauge("core_batch_size",
-		"item count of the most recent batch")
-	metBatchOccupancy = obs.NewFloatGauge("core_batch_occupancy",
-		"worker-slot occupancy of the most recent batch (items / workers x rounds)")
 	metQuantEstimates = obs.NewCounter("core_quant_estimates_total",
 		"estimates served by the quantized int16 kernel")
 	metQuantFallbacks = obs.NewCounter("core_quant_fallbacks_total",

@@ -27,7 +27,7 @@ func (e *Estimator) EstimateMultipath(ctx context.Context, probes []Probe, k int
 		relThresh = 0.35
 	}
 	var g gatherScratch
-	reported, err := e.gather(&g, probes)
+	used, err := e.gather(&g, probes)
 	if err != nil {
 		return nil, err
 	}
@@ -82,7 +82,7 @@ func (e *Estimator) EstimateMultipath(ctx context.Context, probes []Probe, k int
 			az = refineAxis(azAxis, bestA, func(i int) float64 { return w[bestE][i] })
 			el = refineAxis(elAxis, bestE, func(i int) float64 { return w[i][bestA] })
 		}
-		peaks = append(peaks, AoAEstimate{Az: az, El: el, Corr: bestW, Used: reported})
+		peaks = append(peaks, AoAEstimate{Az: az, El: el, Corr: bestW, Used: used})
 		// Cancel the detected path from both measurement vectors and
 		// suppress its angular neighbourhood against re-detection.
 		cancelPath(e, ids, snr, az, el)

@@ -12,9 +12,17 @@ import (
 // and so do non-finite readings. ok is false when no probe carried a
 // usable measurement.
 func SweepSelect(probes []Probe) (id sector.ID, ok bool) {
+	return sweepArgmax(probes, nil)
+}
+
+// sweepArgmax is SweepSelect over the probes whose sector has a column
+// in cols, excluding the RX pseudo-sector; a nil cols admits every
+// sector. The estimator's fallback passes its dictionary columns, so it
+// can only pick a transmit sector its pattern set carries.
+func sweepArgmax(probes []Probe, cols *[256]int16) (id sector.ID, ok bool) {
 	bestSNR := math.Inf(-1)
 	for _, p := range probes {
-		if !p.reported() {
+		if !p.reported() || cols != nil && (p.Sector == sector.RX || cols[p.Sector] < 0) {
 			continue
 		}
 		if p.Meas.SNR > bestSNR {

@@ -32,11 +32,11 @@ func tilePoints(stride int) int {
 
 // quantItem is the per-item state of one batch-major selection.
 type quantItem struct {
-	g        gatherScratch
-	sc       *hierScratch
-	reported int
-	kept     int
-	done     bool // result already written in phase 1 (gather error or warm hit)
+	g    gatherScratch
+	sc   *hierScratch
+	used int
+	kept int
+	done bool // result already written in phase 1 (gather error or warm hit)
 }
 
 // quantBatchScratch holds one worker chunk's items; pooled on the engine
@@ -86,7 +86,7 @@ func (e *Estimator) quantChunk(ctx context.Context, batch []BatchItem, out []Bat
 		metQuantEstimates.Inc()
 		it.kept, it.done = 0, false
 		var err error
-		it.reported, err = e.gather(&it.g, batch[i].Probes)
+		it.used, err = e.gather(&it.g, batch[i].Probes)
 		if err != nil {
 			sel, serr := e.finishSelection(batch[i].Probes, AoAEstimate{}, err)
 			out[i] = BatchResult{Selection: sel, Err: serr}
@@ -95,7 +95,7 @@ func (e *Estimator) quantChunk(ctx context.Context, batch []BatchItem, out []Bat
 		}
 		quantizeGather(&it.g, en.fullQ)
 		if bestA, bestE, _, ok := e.tryWarm(&it.g.qv, batch[i].Hint); ok {
-			aoa := e.epilogue(&it.g, bestA, bestE, it.reported)
+			aoa := e.epilogue(&it.g, bestA, bestE, it.used)
 			sel, serr := e.finishSelection(batch[i].Probes, aoa, nil)
 			out[i] = BatchResult{Selection: sel, Err: serr}
 			it.done = true
@@ -151,7 +151,7 @@ func (e *Estimator) quantChunk(ctx context.Context, batch []BatchItem, out []Bat
 			out[i] = BatchResult{Selection: sel, Err: serr}
 			continue
 		}
-		aoa := e.epilogue(&it.g, bestA, bestE, it.reported)
+		aoa := e.epilogue(&it.g, bestA, bestE, it.used)
 		sel, serr := e.finishSelection(batch[i].Probes, aoa, nil)
 		out[i] = BatchResult{Selection: sel, Err: serr}
 	}

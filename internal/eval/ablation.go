@@ -74,13 +74,13 @@ func runAblationStudies(ctx context.Context, p *Platform, cfg Config) (Report, e
 		set.Ablations = append(set.Ablations, a)
 		return nil
 	}
-	if err := add(AblationJointCorrelation(ctx, p, traces, 14, subsets, rng)); err != nil {
+	if err := add(AblationJointCorrelation(ctx, p, traces, 14, subsets, rng, cfg.Workers)); err != nil {
 		return nil, err
 	}
-	if err := add(AblationMeasuredVsIdeal(ctx, p, traces, 14, subsets, rng)); err != nil {
+	if err := add(AblationMeasuredVsIdeal(ctx, p, traces, 14, subsets, rng, cfg.Workers)); err != nil {
 		return nil, err
 	}
-	if err := add(AblationProbeSelection(ctx, p, traces, 14, subsets, rng)); err != nil {
+	if err := add(AblationProbeSelection(ctx, p, traces, 14, subsets, rng, cfg.Workers)); err != nil {
 		return nil, err
 	}
 	if err := add(AblationRandomBeams(cfg.Seed, 6)); err != nil {
@@ -99,16 +99,16 @@ func runAblationStudies(ctx context.Context, p *Platform, cfg Config) (Report, e
 // AblationJointCorrelation quantifies the Section 5 design choice: the
 // joint SNR·RSSI correlation (Eq. 5) against SNR-only correlation
 // (Eq. 3), on the same traces at probing count m.
-func AblationJointCorrelation(ctx context.Context, p *Platform, traces []testbed.Trace, m, subsets int, rng *stats.RNG) (*AblationResult, error) {
+func AblationJointCorrelation(ctx context.Context, p *Platform, traces []testbed.Trace, m, subsets int, rng *stats.RNG, workers int) (*AblationResult, error) {
 	snrOnly, err := core.NewEstimator(p.Patterns, core.Options{SNROnly: true})
 	if err != nil {
 		return nil, err
 	}
-	joint, err := EvaluateTraces(ctx, "joint", traces, p.Estimator, []int{m}, subsets, rng.Split("joint"))
+	joint, err := EvaluateTraces(ctx, "joint", traces, p.Estimator, []int{m}, subsets, rng.Split("joint"), workers)
 	if err != nil {
 		return nil, err
 	}
-	snr, err := EvaluateTraces(ctx, "snr-only", traces, snrOnly, []int{m}, subsets, rng.Split("snr-only"))
+	snr, err := EvaluateTraces(ctx, "snr-only", traces, snrOnly, []int{m}, subsets, rng.Split("snr-only"), workers)
 	if err != nil {
 		return nil, err
 	}
@@ -131,16 +131,16 @@ func AblationJointCorrelation(ctx context.Context, p *Platform, traces []testbed
 // azimuths — missing the real sectors' multi-lobe shapes, partial
 // apertures, elevation steering, weak sectors and per-device hardware
 // distortions.
-func AblationMeasuredVsIdeal(ctx context.Context, p *Platform, traces []testbed.Trace, m, subsets int, rng *stats.RNG) (*AblationResult, error) {
+func AblationMeasuredVsIdeal(ctx context.Context, p *Platform, traces []testbed.Trace, m, subsets int, rng *stats.RNG, workers int) (*AblationResult, error) {
 	ideal, err := idealEstimator(p)
 	if err != nil {
 		return nil, err
 	}
-	measured, err := EvaluateTraces(ctx, "measured", traces, p.Estimator, []int{m}, subsets, rng.Split("measured"))
+	measured, err := EvaluateTraces(ctx, "measured", traces, p.Estimator, []int{m}, subsets, rng.Split("measured"), workers)
 	if err != nil {
 		return nil, err
 	}
-	theo, err := EvaluateTraces(ctx, "ideal", traces, ideal, []int{m}, subsets, rng.Split("ideal"))
+	theo, err := EvaluateTraces(ctx, "ideal", traces, ideal, []int{m}, subsets, rng.Split("ideal"), workers)
 	if err != nil {
 		return nil, err
 	}
@@ -188,8 +188,8 @@ func gridOf(set *pattern.Set) *geom.Grid {
 
 // AblationProbeSelection compares random probing subsets against the
 // deterministic gain-informed selection of Section 7 at probing count m.
-func AblationProbeSelection(ctx context.Context, p *Platform, traces []testbed.Trace, m, subsets int, rng *stats.RNG) (*AblationResult, error) {
-	random, err := EvaluateTraces(ctx, "random", traces, p.Estimator, []int{m}, subsets, rng.Split("random"))
+func AblationProbeSelection(ctx context.Context, p *Platform, traces []testbed.Trace, m, subsets int, rng *stats.RNG, workers int) (*AblationResult, error) {
+	random, err := EvaluateTraces(ctx, "random", traces, p.Estimator, []int{m}, subsets, rng.Split("random"), workers)
 	if err != nil {
 		return nil, err
 	}

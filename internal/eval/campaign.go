@@ -56,7 +56,7 @@ type CampaignConfig struct {
 	RecordsPerShard int `json:"records_per_shard"`
 	BlockRecords    int `json:"block_records"`
 	// Workers bounds record-time batch selection and replay-time shard
-	// fan-out (default Parallelism()). It is an execution detail, not
+	// fan-out (0 = GOMAXPROCS). It is an execution detail, not
 	// part of the campaign's identity, so it is excluded from the
 	// scorecard JSON — the artifact must be byte-identical at any
 	// worker count.
@@ -89,9 +89,6 @@ func (c *CampaignConfig) defaults() {
 	}
 	if c.BlockRecords <= 0 {
 		c.BlockRecords = 2048
-	}
-	if c.Workers <= 0 {
-		c.Workers = Parallelism()
 	}
 	if c.SplitSeed == 0 {
 		rps := uint64(c.RecordsPerShard)

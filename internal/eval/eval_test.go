@@ -203,7 +203,7 @@ func TestFigure11(t *testing.T) {
 
 func TestEvaluateTracesValidation(t *testing.T) {
 	s := quickStudy(t)
-	if _, err := EvaluateTraces(context.Background(), "empty", nil, s.Platform.Estimator, []int{6}, 1, stats.NewRNG(1)); err == nil {
+	if _, err := EvaluateTraces(context.Background(), "empty", nil, s.Platform.Estimator, []int{6}, 1, stats.NewRNG(1), 0); err == nil {
 		t.Fatal("empty traces accepted")
 	}
 }
@@ -216,7 +216,7 @@ func TestAblations(t *testing.T) {
 	}
 	rng := stats.NewRNG(11)
 
-	joint, err := AblationJointCorrelation(context.Background(), s.Platform, traces, 14, 2, rng)
+	joint, err := AblationJointCorrelation(context.Background(), s.Platform, traces, 14, 2, rng, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +224,7 @@ func TestAblations(t *testing.T) {
 		t.Fatalf("joint rows = %d", len(joint.Rows))
 	}
 
-	ideal, err := AblationMeasuredVsIdeal(context.Background(), s.Platform, traces, 14, 2, rng)
+	ideal, err := AblationMeasuredVsIdeal(context.Background(), s.Platform, traces, 14, 2, rng, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +232,7 @@ func TestAblations(t *testing.T) {
 		t.Fatalf("ideal ablation malformed: %+v", ideal)
 	}
 
-	probeSel, err := AblationProbeSelection(context.Background(), s.Platform, traces, 14, 2, rng)
+	probeSel, err := AblationProbeSelection(context.Background(), s.Platform, traces, 14, 2, rng, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -46,13 +46,14 @@ func RunEnvironmentStudy(ctx context.Context, seed int64, f Fidelity) (*Environm
 	if err != nil {
 		return nil, err
 	}
-	return EnvironmentStudyOn(ctx, p, seed, f)
+	return EnvironmentStudyOn(ctx, p, seed, f, 0)
 }
 
 // EnvironmentStudyOn runs the scans and trace evaluations on an
 // existing platform, so a suite of studies sharing one rig (see
-// Config.Env) measures the chamber patterns only once.
-func EnvironmentStudyOn(ctx context.Context, p *Platform, seed int64, f Fidelity) (*EnvironmentStudy, error) {
+// Config.Env) measures the chamber patterns only once. workers bounds
+// the trace evaluations' fan-out (0 = GOMAXPROCS).
+func EnvironmentStudyOn(ctx context.Context, p *Platform, seed int64, f Fidelity, workers int) (*EnvironmentStudy, error) {
 	labTraces, err := p.Scan(ctx, channel.Lab(), 3, f.Lab)
 	if err != nil {
 		return nil, fmt.Errorf("eval: lab scan: %w", err)
@@ -62,11 +63,11 @@ func EnvironmentStudyOn(ctx context.Context, p *Platform, seed int64, f Fidelity
 		return nil, fmt.Errorf("eval: conference scan: %w", err)
 	}
 	rng := stats.NewRNG(seed).Split("trace-eval")
-	lab, err := EvaluateTraces(ctx, "lab", labTraces, p.Estimator, f.Ms, f.SubsetsPerSweep, rng)
+	lab, err := EvaluateTraces(ctx, "lab", labTraces, p.Estimator, f.Ms, f.SubsetsPerSweep, rng, workers)
 	if err != nil {
 		return nil, err
 	}
-	conf, err := EvaluateTraces(ctx, "conference-room", confTraces, p.Estimator, f.Ms, f.SubsetsPerSweep, rng)
+	conf, err := EvaluateTraces(ctx, "conference-room", confTraces, p.Estimator, f.Ms, f.SubsetsPerSweep, rng, workers)
 	if err != nil {
 		return nil, err
 	}

@@ -50,9 +50,9 @@ var (
 // SetEstimatorOptions overrides the estimator options every subsequently
 // built Platform uses (the zero value — the default — runs the quantized
 // int16 coarse-to-fine kernel; core.Options{Kernel: core.KernelFloat64}
-// runs the exhaustive float64 oracle). Like SetParallelism it is a
-// campaign-level knob, surfaced as evalrunner's -exact flag; set it
-// before building platforms, not concurrently with them.
+// runs the exhaustive float64 oracle). It is a campaign-level knob,
+// surfaced as evalrunner's -exact flag; set it before building
+// platforms, not concurrently with them.
 func SetEstimatorOptions(opts core.Options) {
 	estimatorOptsMu.Lock()
 	defer estimatorOptsMu.Unlock()

@@ -50,6 +50,10 @@ type Config struct {
 	Fault FaultSweepConfig
 	// Campaign parameterizes the out-of-core trace-store campaign.
 	Campaign CampaignConfig
+	// Workers bounds the trial fan-out of the trace-evaluation studies
+	// (fig7–9, headline, ablations; the campaign's is Campaign.Workers),
+	// 0 = GOMAXPROCS. Results are identical at any setting.
+	Workers int
 
 	env *envMemo
 }
@@ -72,10 +76,10 @@ type envMemo struct {
 // scans and trace evaluations on first use.
 func (c Config) Env(ctx context.Context, p *Platform) (*EnvironmentStudy, error) {
 	if c.env == nil {
-		return EnvironmentStudyOn(ctx, p, c.Seed, c.Fidelity)
+		return EnvironmentStudyOn(ctx, p, c.Seed, c.Fidelity, c.Workers)
 	}
 	c.env.once.Do(func() {
-		c.env.study, c.env.err = EnvironmentStudyOn(ctx, p, c.Seed, c.Fidelity)
+		c.env.study, c.env.err = EnvironmentStudyOn(ctx, p, c.Seed, c.Fidelity, c.Workers)
 	})
 	return c.env.study, c.env.err
 }

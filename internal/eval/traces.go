@@ -53,12 +53,13 @@ type TraceEval struct {
 // M. The estimator must be built from the same device's measured
 // patterns.
 //
-// Trials are independent, so the CSS selections run on a bounded worker
-// pool (see SetParallelism). Results are identical to a serial run at any
-// worker count: every probing subset is drawn from rng up front in the
-// canonical (M, trace, sweep, subset) order, and aggregation replays that
-// order after the parallel phase. The context is observed between trials.
-func EvaluateTraces(ctx context.Context, envName string, traces []testbed.Trace, est *core.Estimator, ms []int, subsets int, rng *stats.RNG) (*TraceEval, error) {
+// Trials are independent, so the CSS selections run as one
+// SelectSectorBatch over at most workers workers (0 = GOMAXPROCS).
+// Results are identical to a serial run at any worker count: every
+// probing subset is drawn from rng up front in the canonical (M, trace,
+// sweep, subset) order, and aggregation replays that order after the
+// parallel phase. The context is observed between trials.
+func EvaluateTraces(ctx context.Context, envName string, traces []testbed.Trace, est *core.Estimator, ms []int, subsets int, rng *stats.RNG, workers int) (*TraceEval, error) {
 	if len(traces) == 0 {
 		return nil, fmt.Errorf("eval: no traces for %s", envName)
 	}
@@ -114,15 +115,13 @@ func EvaluateTraces(ctx context.Context, envName string, traces []testbed.Trace,
 	}
 
 	// Phase 2: run the independent selections through the batched
-	// estimation path — one persistent worker pool over the whole
-	// campaign's probe vectors instead of per-call fan-out, with engine
-	// sharding disabled inside each item so trial workers are the only
-	// parallelism.
+	// estimation path — one fan-out over the whole campaign's probe
+	// vectors instead of per-call fan-out.
 	probesList := make([]core.BatchItem, len(jobs))
 	for i := range jobs {
 		probesList[i].Probes = jobs[i].probes
 	}
-	results, err := est.SelectSectorBatch(ctx, probesList, Parallelism())
+	results, err := est.SelectSectorBatch(ctx, probesList, workers)
 	if err != nil {
 		return nil, err
 	}

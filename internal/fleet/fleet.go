@@ -2,7 +2,7 @@
 // manager that runs every station↔AP link through the deterministic
 // lifecycle state machine (idle → train → track → degrade → retrain) and
 // funnels ALL sector estimation through core.SelectSectorBatch, so a
-// single worker pool amortizes the per-link estimation cost across tens
+// single batched fan-out amortizes the per-link estimation cost across tens
 // of thousands to millions of concurrent links.
 //
 // The package trades the frame-level fidelity of internal/wil for a
@@ -24,7 +24,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -95,7 +94,7 @@ func WithDegradedBackoff(d time.Duration) Option {
 func WithCapacity(n int) Option { return func(c *config) { c.capacity = n } }
 
 // WithBatchWorkers sets the worker count handed to
-// core.SelectSectorBatch and to the shard scan pool. Default 0
+// core.SelectSectorBatch and to the shard scan. Default 0
 // (GOMAXPROCS).
 func WithBatchWorkers(n int) Option { return func(c *config) { c.batchWorkers = n } }
 
@@ -499,18 +498,6 @@ func (m *Manager) Pending() int {
 	m.stepMu.Lock()
 	defer m.stepMu.Unlock()
 	return len(m.pending)
-}
-
-// scanWorkers resolves the worker count for the shard scan pool.
-func (m *Manager) scanWorkers() int {
-	w := m.cfg.batchWorkers
-	if procs := runtime.GOMAXPROCS(0); w <= 0 || w > procs {
-		w = procs
-	}
-	if w > len(m.shards) {
-		w = len(m.shards)
-	}
-	return w
 }
 
 // wrapAz folds an azimuth into [-180, 180).

@@ -227,16 +227,15 @@ func TestStepContext(t *testing.T) {
 
 // TestBatchFunnelOnly enforces the service contract in source: the fleet
 // package reaches estimation exclusively through SelectSectorBatch —
-// no call site may use the per-link SelectSector entry points. The one
-// SweepSelect call is the failed-round fallback in applyOutcome, which
-// picks among the probes the batch already estimated from.
+// no call site may use the per-link SelectSector entry points, nor
+// SweepSelect: whether a round falls back to the probed argmax is
+// decided inside core.
 func TestBatchFunnelOnly(t *testing.T) {
 	files, err := filepath.Glob("*.go")
 	if err != nil {
 		t.Fatal(err)
 	}
 	fset := token.NewFileSet()
-	sweepFallbacks := 0
 	for _, file := range files {
 		if strings.HasSuffix(file, "_test.go") {
 			continue
@@ -249,29 +248,19 @@ func TestBatchFunnelOnly(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, decl := range f.Decls {
-			fn, _ := decl.(*ast.FuncDecl)
-			ast.Inspect(decl, func(n ast.Node) bool {
-				sel, ok := n.(*ast.SelectorExpr)
-				if !ok {
-					return true
-				}
-				name := sel.Sel.Name
-				if strings.HasPrefix(name, "SelectSector") && name != "SelectSectorBatch" {
-					t.Errorf("%s: %s bypasses the batch estimation funnel", fset.Position(sel.Pos()), name)
-				}
-				if name == "SweepSelect" && fn != nil && fn.Name.Name == "applyOutcome" {
-					sweepFallbacks++
-					return true
-				}
-				if name == "SweepSelect" || name == "SelectShards" {
-					t.Errorf("%s: %s bypasses the batch estimation funnel", fset.Position(sel.Pos()), name)
-				}
+		ast.Inspect(f, func(n ast.Node) bool {
+			sel, ok := n.(*ast.SelectorExpr)
+			if !ok {
 				return true
-			})
-		}
-	}
-	if sweepFallbacks != 1 {
-		t.Errorf("applyOutcome calls SweepSelect %d times, want exactly once (the failed-round fallback)", sweepFallbacks)
+			}
+			name := sel.Sel.Name
+			if strings.HasPrefix(name, "SelectSector") && name != "SelectSectorBatch" {
+				t.Errorf("%s: %s bypasses the batch estimation funnel", fset.Position(sel.Pos()), name)
+			}
+			if name == "SweepSelect" || name == "SelectShards" {
+				t.Errorf("%s: %s bypasses the batch estimation funnel", fset.Position(sel.Pos()), name)
+			}
+			return true
+		})
 	}
 }

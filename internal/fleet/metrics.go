@@ -31,7 +31,7 @@ var (
 	metSelectFailures = obs.NewCounter("fleet_select_failures_total",
 		"training rounds whose batched selection failed")
 	metFallbacks = obs.NewCounter("fleet_fallbacks_total",
-		"failed rounds that fell back to the probed-sector argmax")
+		"adopted rounds whose selection was core's probed-sector argmax fallback")
 	metPending = obs.NewGauge("fleet_pending_trainings",
 		"training requests queued for the next batch")
 	metBatchItems = obs.NewCounter("fleet_batch_items_total",

@@ -57,7 +57,7 @@ type tally struct {
 	trainings     int64 // rounds served through the batch funnel
 	retrains      int64 // non-first rounds among them
 	failures      int64 // rounds whose batched selection errored
-	fallbacks     int64 // failed rounds rescued by the probed argmax
+	fallbacks     int64 // adopted rounds that were core's sweep fallback
 	degrades      int64 // tracked links pushed to degraded by the scan
 	trackedEpochs int64 // (station, epoch) pairs spent tracking
 	skipped       int64 // pending rounds whose station departed first

@@ -32,7 +32,7 @@ type SimConfig struct {
 	Shards int `json:"shards,omitempty"`
 	// Capacity caps trainings served per epoch (0: unlimited).
 	Capacity int `json:"capacity,omitempty"`
-	// Workers bounds the scan/batch worker pools. It shapes wall-clock
+	// Workers bounds the scan and batch fan-out. It shapes wall-clock
 	// time only, never the scorecard.
 	Workers int `json:"-"`
 

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"talon/internal/core"
-	"talon/internal/radio"
 	"talon/internal/sector"
 	"talon/internal/stats"
 )
@@ -76,10 +75,11 @@ func TestSynthProbesSweepOrder(t *testing.T) {
 	}
 }
 
-// TestFailedRoundFallbackIgnoresNonFinite feeds a failed round whose
-// probes carry a +Inf and a NaN SNR: the sweep fallback must adopt the
-// strongest finite reading, as core.SweepSelect does, not the +Inf one.
-func TestFailedRoundFallbackIgnoresNonFinite(t *testing.T) {
+// TestFailedRoundKeepsSector applies a failed round and then a
+// sweep-fallback selection to a trained station. The failure keeps the
+// previous sector and counts a failure, not a fallback; the fallback
+// selection is adopted and counted as one.
+func TestFailedRoundKeepsSector(t *testing.T) {
 	m, _ := testFleet(t, WithShards(1))
 	const id = StationID(4)
 	if !m.Arrive(Event{Kind: EventArrival, Station: id, AzDeg: 10, ElDeg: 5, DistM: 3}) {
@@ -88,32 +88,39 @@ func TestFailedRoundFallbackIgnoresNonFinite(t *testing.T) {
 	if err := m.Step(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	reading := func(s sector.ID, snr float64) core.Probe {
-		return core.Probe{Sector: s, OK: true, Meas: radio.Measurement{SNR: snr, RSSI: -60}}
+	before, ok := m.Snapshot(id)
+	if !ok || !before.HasLink {
+		t.Fatalf("station not trained after its arrival epoch: %+v", before)
 	}
-	for _, want := range []sector.ID{9, 20} {
-		probes := []core.Probe{
-			reading(3, math.Inf(1)),
-			reading(5, math.NaN()),
-			reading(want, 7),
-			reading(30, 2),
-			{Sector: 31}, // not reported
-		}
+	apply := func(res core.BatchResult) Snapshot {
 		sh := m.shardOf(id)
 		sh.mu.Lock()
 		slot, ok := sh.index[id]
+		if ok {
+			m.applyOutcome(&sh.recs[slot], &sh.hot[slot], res, request{id: id}, time.Duration(m.now.Load()))
+		}
+		sh.mu.Unlock()
 		if !ok {
-			sh.mu.Unlock()
 			t.Fatal("station missing after its arrival epoch")
 		}
-		fallbacks := m.acc.fallbacks
-		m.applyOutcome(&sh.recs[slot], &sh.hot[slot], probes,
-			core.BatchResult{Err: errors.New("estimation failed")}, request{id: id}, time.Duration(m.now.Load()))
-		got := m.acc.fallbacks - fallbacks
-		sh.mu.Unlock()
 		snap, _ := m.Snapshot(id)
-		if snap.Sector != want || !snap.HasLink || got != 1 {
-			t.Fatalf("fallback adopted sector %v (link %v, %d fallbacks), want %v", snap.Sector, snap.HasLink, got, want)
-		}
+		return snap
+	}
+
+	failures, fallbacks := m.acc.failures, m.acc.fallbacks
+	snap := apply(core.BatchResult{Err: errors.New("estimation failed")})
+	if snap.Sector != before.Sector || !snap.HasLink || m.acc.failures != failures+1 || m.acc.fallbacks != fallbacks {
+		t.Fatalf("failed round: sector %v (link %v), %d failures, %d fallbacks; want sector %v kept, %d failures, %d fallbacks",
+			snap.Sector, snap.HasLink, m.acc.failures, m.acc.fallbacks, before.Sector, failures+1, fallbacks)
+	}
+
+	want := sector.ID(9)
+	if want == before.Sector {
+		want = 20
+	}
+	snap = apply(core.BatchResult{Selection: core.Selection{Sector: want, Gain: math.NaN(), Fallback: true}})
+	if snap.Sector != want || m.acc.failures != failures+1 || m.acc.fallbacks != fallbacks+1 {
+		t.Fatalf("fallback selection: sector %v, %d failures, %d fallbacks; want sector %v, %d failures, %d fallbacks",
+			snap.Sector, m.acc.failures, m.acc.fallbacks, want, failures+1, fallbacks+1)
 	}
 }

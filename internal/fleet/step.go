@@ -2,12 +2,11 @@ package fleet
 
 import (
 	"context"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"talon/internal/core"
 	"talon/internal/dot11ad"
+	"talon/internal/par"
 )
 
 // Step advances the fleet by one epoch of virtual time:
@@ -15,9 +14,10 @@ import (
 //  1. Every shard drains its bounded event queue and applies the events,
 //     then scans its stations — advancing mobility drift, expiring
 //     blockages, degrading links whose serving gain collapsed and
-//     scheduling staleness/backoff retrains. Shards are scanned by a
-//     worker pool; each worker owns a shard exclusively while scanning
-//     it, writing requests and tally partials into shard-local scratch.
+//     scheduling staleness/backoff retrains. Shards are scanned in
+//     parallel (par.ForEach); each worker owns a shard exclusively while
+//     scanning it, writing requests and tally partials into shard-local
+//     scratch.
 //  2. The per-shard request lists are concatenated in shard-index order
 //     (deterministic regardless of which worker finished first) and
 //     appended to the global FIFO pending queue.
@@ -26,11 +26,11 @@ import (
 //     core.SelectSectorBatch in bounded chunks — the single estimation
 //     funnel for the whole fleet — each round hinted with its station's
 //     previous selection cell when warm-start is on.
-//  4. Outcomes are applied: successful selections adopt the sector and
-//     transition to tracking; failures fall back to the probed argmax
-//     and degrade. Virtual selection latency (queueing + training
-//     airtime) and SNR loss versus the ground-truth best sector feed the
-//     scorecard tally.
+//  4. Outcomes are applied: successful selections (core's sweep
+//     fallback included) adopt the sector and transition to tracking;
+//     failures keep the station's previous sector and degrade. Virtual
+//     selection latency (queueing + training airtime) and SNR loss
+//     versus the ground-truth best sector feed the scorecard tally.
 //
 // Step serializes against itself but is safe alongside concurrent
 // Arrive/Depart/Dispatch calls.
@@ -46,11 +46,12 @@ func (m *Manager) Step(ctx context.Context) error {
 	defer metStepSeconds.ObserveSince(start)
 	metEpochs.Inc()
 
-	epochStart := time.Duration(m.now.Load())
-	epochEnd := epochStart + m.cfg.epoch
+	epochEnd := time.Duration(m.now.Load()) + m.cfg.epoch
 
-	// Phase 1+2: parallel shard scan, deterministic merge.
-	m.scanShards(epochStart, epochEnd)
+	// Phase 1+2: parallel shard scan, deterministic merge. The scan
+	// does not observe ctx: once started it covers every shard, so a
+	// Step applies to all stations or to none. scanShard cannot fail.
+	_ = par.ForEach(context.Background(), len(m.shards), m.cfg.batchWorkers, m, (*Manager).scanShard) //lint:allow ctxfirst -- the shard scan must not stop partway; ctx is observed before it and in serve
 	for _, sh := range m.shards {
 		m.pending = append(m.pending, sh.reqs...)
 		m.acc.merge(&sh.partial)
@@ -75,33 +76,6 @@ func (m *Manager) Step(ctx context.Context) error {
 	return nil
 }
 
-// scanShards runs phase 1 over all shards with the scan worker pool.
-func (m *Manager) scanShards(epochStart, epochEnd time.Duration) {
-	workers := m.scanWorkers()
-	if workers <= 1 {
-		for i := range m.shards {
-			m.scanShard(i, epochStart, epochEnd)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(m.shards) {
-					return
-				}
-				m.scanShard(i, epochStart, epochEnd)
-			}
-		}()
-	}
-	wg.Wait()
-}
-
 // scanShard drains shard i's event queue and scans its stations in
 // ascending-ID order along the precomputed order slice. Holds the shard
 // lock throughout so concurrent Arrive/Depart stay safe.
@@ -118,7 +92,9 @@ func (m *Manager) scanShards(epochStart, epochEnd time.Duration) {
 // scanSlow, which reproduces the full per-station logic.
 //
 //talon:noalloc
-func (m *Manager) scanShard(i int, epochStart, epochEnd time.Duration) {
+func (m *Manager) scanShard(_, i int) error {
+	epochStart := time.Duration(m.now.Load()) // advanced only at the end of Step
+	epochEnd := epochStart + m.cfg.epoch
 	sh := m.shards[i]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -169,6 +145,7 @@ func (m *Manager) scanShard(i int, epochStart, epochEnd time.Duration) {
 		}
 		m.scanSlow(sh, i, slot, epochStart, epochEnd, dt, epochIx, want)
 	}
+	return nil
 }
 
 // scanSlow is the full per-station epoch scan: mobility drift, blockage
@@ -379,7 +356,7 @@ func (m *Manager) serveChunk(ctx context.Context, chunk []request, epochEnd time
 			metPending.Add(-1)
 			continue
 		}
-		m.applyOutcome(&sh.recs[slot], &sh.hot[slot], m.items[bi].Probes, res, r, epochEnd)
+		m.applyOutcome(&sh.recs[slot], &sh.hot[slot], res, r, epochEnd)
 		sh.mu.Unlock()
 		metPending.Add(-1)
 	}
@@ -387,10 +364,12 @@ func (m *Manager) serveChunk(ctx context.Context, chunk []request, epochEnd time
 }
 
 // applyOutcome finishes one training round on its station (shard lock
-// held): adopt or fall back, arm the next deadline (staleness retrain on
-// success, degraded backoff on failure), refresh the warm-start hint
-// cell and the gain caches, and book the round's tally.
-func (m *Manager) applyOutcome(st *station, h *hotStation, probes []core.Probe, res core.BatchResult, r request, epochEnd time.Duration) {
+// held): adopt the selection or keep the previous sector on failure,
+// arm the next deadline (staleness retrain on success, degraded backoff
+// on failure), refresh the warm-start hint cell and the gain caches, and
+// book the round's tally. Whether a round falls back to the probed
+// argmax is core's decision; the tally counts the adopted fallbacks.
+func (m *Manager) applyOutcome(st *station, h *hotStation, res core.BatchResult, r request, epochEnd time.Duration) {
 	m.acc.trainings++
 	metTrainings.Inc()
 	if r.retrain {
@@ -401,32 +380,28 @@ func (m *Manager) applyOutcome(st *station, h *hotStation, probes []core.Probe, 
 	m.acc.latency.Observe(int64(latency))
 	metSelectLatency.Observe(latency.Seconds())
 
-	sel, err := res.Selection, res.Err
-	adopted := false
-	if err == nil {
-		st.sector, st.haveSector, adopted = sel.Sector, true, true
-		m.toState(h, evSelectOK)
-		h.cell = sel.AoA.Cell
-		h.deadline = epochEnd + m.cfg.retrainInterval
-	} else {
+	sel := res.Selection
+	if res.Err != nil {
 		m.acc.failures++
 		metSelectFailures.Inc()
-		if id, ok := core.SweepSelect(probes); ok {
-			st.sector, st.haveSector, adopted = id, true, true
-			m.acc.fallbacks++
-			metFallbacks.Inc()
-		}
 		m.toState(h, evSelectFail)
 		h.cell = core.NoCell
 		h.deadline = epochEnd + m.cfg.degradedBackoff
+		return
 	}
-	if adopted {
-		m.refreshCurGain(st, h)
-		g := st.curGain
-		if st.blockEpochsLeft > 0 {
-			g -= st.blockAttenDB
-		}
-		st.servedGain = g
-		m.acc.selLoss.Observe(milliDB(m.cachedBestGain(st) - st.curGain))
+	st.sector, st.haveSector = sel.Sector, true
+	if sel.Fallback {
+		m.acc.fallbacks++
+		metFallbacks.Inc()
 	}
+	m.toState(h, evSelectOK)
+	h.cell = sel.AoA.Cell
+	h.deadline = epochEnd + m.cfg.retrainInterval
+	m.refreshCurGain(st, h)
+	g := st.curGain
+	if st.blockEpochsLeft > 0 {
+		g -= st.blockAttenDB
+	}
+	st.servedGain = g
+	m.acc.selLoss.Observe(milliDB(m.cachedBestGain(st) - st.curGain))
 }

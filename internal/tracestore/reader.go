@@ -10,8 +10,8 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
-	"sync"
-	"sync/atomic"
+
+	"talon/internal/par"
 )
 
 // Reader streams one shard file block by block. All buffers — the
@@ -292,10 +292,11 @@ func (r *Reader[T]) Reopen(path string) error {
 }
 
 // ReplayShards streams every shard through fn with bounded memory:
-// workers claim whole shards from an atomic cursor, each worker owns one
-// Reader (and so one set of reusable decode buffers), and fn is called
-// once per decoded block with the shard's index in shards. The record
-// slice passed to fn is only valid during the call. fn must be safe for
+// whole shards fan out over par.ForEach (workers <= 0 means GOMAXPROCS;
+// capped at GOMAXPROCS and the shard count), each worker owns one Reader
+// (and so one set of reusable decode buffers), and fn is called once per
+// decoded block with the shard's index in shards. The record slice
+// passed to fn is only valid during the call. fn must be safe for
 // concurrent calls on distinct shards; ctx is observed between blocks.
 // The first error (or ctx cancellation) stops all workers.
 func ReplayShards[T any](ctx context.Context, codec Codec[T], shards []Shard, workers int, fn func(shard int, recs []T) error) error {
@@ -312,45 +313,17 @@ func ReplayShardsMapped[T any](ctx context.Context, codec Codec[T], shards []Sha
 }
 
 func replayShards[T any](ctx context.Context, codec Codec[T], shards []Shard, workers int, mapped bool, fn func(shard int, recs []T) error) error {
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > len(shards) {
-		workers = len(shards)
-	}
-	var cursor atomic.Int64
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			var r *Reader[T] // this worker's reader; buffers persist across shards
-			defer func() {
-				if r != nil {
-					r.Close()
-				}
-			}()
-			for {
-				i := int(cursor.Add(1)) - 1
-				if i >= len(shards) {
-					return
-				}
-				if err := replayShard(ctx, codec, shards[i], i, mapped, &r, fn); err != nil {
-					errs[w] = err
-					cursor.Store(int64(len(shards))) // stop the other workers
-					return
-				}
+	readers := make([]*Reader[T], len(shards)) // per worker; ForEach runs at most one worker per shard
+	defer func() {
+		for _, r := range readers {
+			if r != nil {
+				r.Close()
 			}
-		}(w)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
 		}
-	}
-	return nil
+	}()
+	return par.ForEach(ctx, len(shards), workers, readers, func(readers []*Reader[T], w, i int) error {
+		return replayShard(ctx, codec, shards[i], i, mapped, &readers[w], fn)
+	})
 }
 
 // replayShard streams one shard block by block through fn, reusing the
